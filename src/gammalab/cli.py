@@ -55,12 +55,6 @@ def _emit(obj, as_json: bool, human: str) -> None:
     print(canonical_json(obj) if as_json else human)
 
 
-def _poly_json(p: UniPoly | BiPoly) -> dict | list:
-    if isinstance(p, BiPoly):
-        return p.to_json()
-    return p.to_json()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gammalab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run registered identity checks")
     p_verify.add_argument("ident", help='an identity id or "all"')
     p_verify.add_argument("--bound", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--json", action="store_true")
 
     p_conj = sub.add_parser("conjecture", help="bounded conjecture checkers")
@@ -232,7 +225,7 @@ def _cmd_verify(args) -> int:
         bounds = None
         if args.bound is not None:
             bounds = {ident: args.bound for ident in verify.REGISTRY}
-        reports = verify.run_all(bounds, threads=max(args.threads, 1))
+        reports = verify.run_all(bounds)
     else:
         try:
             reports = [verify.run_identity(args.ident, args.bound)]

@@ -24,6 +24,7 @@ from .polynomial import (
     ONE_PLUS_X,
     DegreeTooSmall,
     UniPoly,
+    basis_sum,
     binom,
 )
 
@@ -66,13 +67,9 @@ class GammaExpansion:
     sign: str
 
     def reconstruct(self) -> UniPoly:
-        n = self.center_degree
-        acc = UniPoly.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                s = c if self.sign == PLUS else c * (-1) ** k
-                acc = acc + UniPoly.monomial(k, s) * _one_plus_x_pow(n - 2 * k)
-        return acc
+        n, sign = self.center_degree, 1 if self.sign == PLUS else -1
+        terms = ((c * sign**k, k, n - 2 * k) for k, c in enumerate(self.coeffs))
+        return basis_sum(ONE_PLUS_X, terms)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -94,13 +91,8 @@ class BinomialExpansion:
     sign: str
 
     def reconstruct(self) -> UniPoly:
-        n = self.degree
-        pow_ = _one_plus_x_pow if self.sign == PLUS else _one_minus_x_pow
-        acc = UniPoly.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = acc + UniPoly.monomial(k, c) * pow_(n - k)
-        return acc
+        base = ONE_PLUS_X if self.sign == PLUS else ONE_MINUS_X
+        return basis_sum(base, ((c, k, self.degree - k) for k, c in enumerate(self.coeffs)))
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -145,17 +137,10 @@ class AltSemiGammaDecomposition:
     zeta: tuple[Fraction, ...]
 
     def reconstruct(self) -> UniPoly:
-        n, nu = self.center, self.nu
-        acc = UniPoly.zero()
-        for k, c in enumerate(self.xi):
-            if c:
-                acc = acc + UniPoly.monomial(k, c * (-1) ** k) * _one_plus_x_pow(2 * n - 2 * k + nu)
-        for k, c in enumerate(self.zeta):
-            if c:
-                acc = acc + UniPoly.monomial(k + 1, c * (-1) ** k) * _one_plus_x_pow(
-                    2 * n - 2 - 2 * k + nu
-                )
-        return acc
+        top = 2 * self.center + self.nu
+        xi = [(c * (-1) ** k, k, top - 2 * k) for k, c in enumerate(self.xi)]
+        zeta = [(c * (-1) ** k, k + 1, top - 2 - 2 * k) for k, c in enumerate(self.zeta)]
+        return basis_sum(ONE_PLUS_X, xi + zeta)
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.xi) and all(c >= 0 for c in self.zeta)
@@ -246,7 +231,8 @@ def _peel_center(f: UniPoly, n: int) -> tuple[Fraction, ...]:
         out.append(c)
         if c:
             rem = rem - UniPoly.monomial(k, c) * _one_plus_x_pow(n - 2 * k)
-    assert rem.is_zero(), "peeling a symmetric polynomial must terminate at zero"
+    if not rem.is_zero():
+        raise ArithmeticError("peeling a symmetric polynomial must terminate at zero")
     return tuple(out)
 
 
@@ -263,7 +249,8 @@ def binomial_basis_expand(f: UniPoly, n: int, sign: str = PLUS) -> BinomialExpan
         out.append(c)
         if c:
             rem = rem - UniPoly.monomial(k, c) * pow_(n - k)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise ArithmeticError("peeling in a triangular binomial basis must terminate at zero")
     return BinomialExpansion(n, tuple(out), sign)
 
 
@@ -292,11 +279,6 @@ def xi_from_gamma(gamma: GammaExpansion) -> tuple[Fraction, ...]:
         sum((binom(n - 2 * i, k - 2 * i) * g[i] for i in range(k // 2 + 1)), Fraction(0))
         for k in range(n + 1)
     )
-
-
-def power_substitute(f: UniPoly, m: int) -> UniPoly:
-    """Return f(x^m)."""
-    return f.substitute_power(m)
 
 
 def hermite_biehler_split(f: UniPoly) -> tuple[UniPoly, UniPoly]:

@@ -9,7 +9,6 @@ identity suite hits the same values over and over.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,6 +110,12 @@ def left_peak_poly(n: int) -> UniPoly:
     return UniPoly([1, n - 1]) * prev + 2 * UniPoly([0, 1, -1]) * prev.derivative()
 
 
+def _integral(p: UniPoly, name: str) -> UniPoly:
+    if any(c.denominator != 1 for c in p.coeffs):
+        raise ArithmeticError(f"{name} recurrence must stay integral")
+    return p
+
+
 @lru_cache(maxsize=None)
 def l_poly(n: int) -> UniPoly:
     """Symmetric-Dyck-path peak polynomial L_n, by recurrence."""
@@ -120,9 +125,7 @@ def l_poly(n: int) -> UniPoly:
         return _ONE
     prev = l_poly(n - 1)
     raw = UniPoly([n, 2, 3 * n - 4]) * prev + UniPoly([0, 1, 0, -1]) * prev.derivative()
-    out = raw * Fraction(1, n)
-    assert all(c.denominator == 1 for c in out.coeffs), "L_n recurrence must stay integral"
-    return out
+    return _integral(raw * Fraction(1, n), "L_n")
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +137,7 @@ def lhat_poly(n: int) -> UniPoly:
         return _ONE
     prev = lhat_poly(n - 1)
     raw = UniPoly([n, 1, 3 * n - 3]) * prev + UniPoly([0, 1, 0, -1]) * prev.derivative()
-    out = raw * Fraction(1, n)
-    assert all(c.denominator == 1 for c in out.coeffs), "L-hat recurrence must stay integral"
-    return out
+    return _integral(raw * Fraction(1, n), "L-hat_n")
 
 
 def l_closed(n: int, k: int) -> int:
@@ -252,10 +253,6 @@ def biv_des_exc(n: int, bound: int | None = None) -> BiPoly:
     result = oracles.stat_polynomial(n, "des,exc", bound=bound)
     assert isinstance(result, BiPoly)
     return result
-
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
 
 
 def generate(family: FamilyId | str, n: int) -> UniPoly | BiPoly:

@@ -48,6 +48,8 @@ def _env_capped(default: int) -> int:
     cap = os.environ.get(ENV_BOUND_VAR)
     if cap is None:
         return default
+    if not (cap.isascii() and cap.isdigit()):
+        raise ValueError(f"{ENV_BOUND_VAR} must be a decimal integer >= 0, got {cap!r}")
     return min(default, int(cap))
 
 

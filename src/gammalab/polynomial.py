@@ -330,16 +330,21 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     return f.exact_div(poly_gcd(f, f.derivative())).monic()
 
 
+def basis_sum(base: UniPoly, terms: Iterable[tuple[ScalarLike, int, int]]) -> UniPoly:
+    """Sum of c * x**i * base**j over the (c, i, j) triples; zero c are skipped."""
+    acc = UniPoly.zero()
+    for c, i, j in terms:
+        if c:
+            acc = acc + UniPoly.monomial(i, c) * base**j
+    return acc
+
+
 def f_to_h(f: UniPoly, n: int) -> UniPoly:
     """Change of basis sum(f_i x^i (1-x)^(n-i)), exact."""
     deg = f.degree
     if deg is not None and n < deg:
         raise DegreeTooSmall(f"framing degree {n} < degree {deg}")
-    acc = UniPoly.zero()
-    for i, c in enumerate(f.coeffs):
-        if c:
-            acc = acc + UniPoly.monomial(i, c) * ONE_MINUS_X ** (n - i)
-    return acc
+    return basis_sum(ONE_MINUS_X, ((c, i, n - i) for i, c in enumerate(f.coeffs)))
 
 
 @dataclass(init=False, frozen=True)

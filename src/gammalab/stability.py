@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .expansions import hermite_biehler_split
 from .polynomial import UniPoly, poly_gcd, squarefree_part
@@ -330,8 +329,3 @@ def routh_stable(f: UniPoly) -> str:
     if any(c == 0 for c in first):
         return ROUTH_INDETERMINATE
     return ROUTH_STABLE if all(c > 0 for c in first) else ROUTH_NOT_STABLE
-
-
-@lru_cache(maxsize=None)
-def _interlace_cached(p: UniPoly, q: UniPoly) -> str:
-    return interlacing_relation(p, q)

@@ -11,8 +11,8 @@ than "pass", so a future counterexample is a finding, not a test bug.
 
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,7 +34,16 @@ from .expansions import (
     symmetric_decomposition,
     xi_from_gamma,
 )
-from .polynomial import BiPoly, NotDivisible, RatFun, UniPoly, apply_diff_operator, binom, catalan
+from .polynomial import (
+    BiPoly,
+    NotDivisible,
+    RatFun,
+    UniPoly,
+    apply_diff_operator,
+    basis_sum,
+    binom,
+    catalan,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -47,6 +56,7 @@ _ONE = UniPoly.one()
 _ONE_PLUS_X = UniPoly([1, 1])
 _ONE_MINUS_X = UniPoly([1, -1])
 _ONE_PLUS_2X = UniPoly([1, 2])
+_ONE_MINUS_X2 = UniPoly([1, 0, -1])
 
 
 class UnknownIdentity(KeyError):
@@ -91,19 +101,20 @@ def _check(ident: str, description: str, bound: int, var: str = "n"):
     return deco
 
 
-def _w(difference: UniPoly | BiPoly | str | None = None, **params) -> dict:
-    if difference is None:
-        diff = ""
-    elif isinstance(difference, str):
-        diff = difference
-    else:
-        diff = str(difference)
-    return {"params": params, "difference": diff}
+def _w(difference: UniPoly | BiPoly | str, **params) -> dict:
+    return {"params": params, "difference": str(difference)}
 
 
 def _eq(lhs, rhs, fails: list[dict], **params) -> None:
+    """Record a witness unless lhs == rhs: the difference of two polynomials,
+    else the text "lhs != rhs"."""
     if lhs != rhs:
-        fails.append(_w(lhs - rhs, **params))
+        poly = isinstance(lhs, (UniPoly, BiPoly))
+        fails.append(_w(lhs - rhs if poly else f"{lhs} != {rhs}", **params))
+
+
+def _report(ident: str, range_run: str, fails: list[dict], ok: str = PASS) -> VerificationReport:
+    return VerificationReport(ident, range_run, FAIL if fails else ok, fails[0] if fails else None)
 
 
 # -- random input corpora (fixed seed, reproducible) -------------------------
@@ -113,38 +124,16 @@ def _rng() -> random.Random:
     return random.Random(_SEED)
 
 
-def _random_symmetric(rng: random.Random, max_center: int = 12) -> tuple[UniPoly, int]:
-    n = rng.randint(0, max_center)
-    gamma = [Fraction(rng.randint(-9, 9)) for _ in range(n // 2 + 1)]
-    acc = UniPoly.zero()
-    for k, c in enumerate(gamma):
-        if c:
-            acc = acc + UniPoly.monomial(k, c) * _ONE_PLUS_X ** (n - 2 * k)
-    return acc, n
-
-
-def _random_gamma_positive(rng: random.Random, max_center: int = 12) -> tuple[UniPoly, int]:
-    n = rng.randint(1, max_center)
-    gamma = [Fraction(rng.randint(0, 9)) for _ in range(n // 2 + 1)]
-    if all(c == 0 for c in gamma):
-        gamma[0] = Fraction(1)
-    acc = UniPoly.zero()
-    for k, c in enumerate(gamma):
-        if c:
-            acc = acc + UniPoly.monomial(k, c) * _ONE_PLUS_X ** (n - 2 * k)
-    return acc, n
-
-
-def _random_alt_positive(rng: random.Random, max_center: int = 10) -> tuple[UniPoly, int]:
-    n = rng.randint(0, max_center)
-    coeffs = [Fraction(rng.randint(0, 9)) for _ in range(n // 2 + 1)]
-    if all(c == 0 for c in coeffs):
-        coeffs[0] = Fraction(1)
-    acc = UniPoly.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = acc + UniPoly.monomial(k, c * (-1) ** k) * _ONE_PLUS_X ** (n - 2 * k)
-    return acc, n
+def _random_gamma(
+    rng: random.Random, centers: tuple[int, int] = (0, 12), floor: int = -9, sign: int = 1
+) -> tuple[UniPoly, int]:
+    """sum_k g_k (sign x)^k (1+x)^(n-2k) with n drawn from ``centers`` and each
+    g_k from [floor, 9]; a nonnegative vector is never all zero."""
+    n = rng.randint(*centers)
+    gamma = [rng.randint(floor, 9) for _ in range(n // 2 + 1)]
+    if floor >= 0 and not any(gamma):
+        gamma[0] = 1
+    return basis_sum(_ONE_PLUS_X, ((c * sign**k, k, n - 2 * k) for k, c in enumerate(gamma))), n
 
 
 # -- squared-variable splitting of the Eulerian polynomials ------------------
@@ -167,10 +156,8 @@ def _cube(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(bound + 1):
         f = UniPoly([1, 0, 1]) ** n
-        got = alt_gamma_expand(f, 2 * n).coeffs
         want = tuple(Fraction(binom(n, k) * 2**k) for k in range(n + 1))
-        if got != want:
-            fails.append(_w(f"{got} != {want}", n=n))
+        _eq(alt_gamma_expand(f, 2 * n).coeffs, want, fails, n=n)
     return fails
 
 
@@ -178,10 +165,8 @@ def _cube(bound: int) -> list[dict]:
 def _foata(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, min(bound, oracles.sn_bound()) + 1):
-        got = gamma_expand(fam.eulerian_a(n), n - 1).coeffs
         want = tuple(Fraction(c) for c in oracles.gamma_count_vector(n))
-        if got != want:
-            fails.append(_w(f"{got} != {want}", n=n))
+        _eq(gamma_expand(fam.eulerian_a(n), n - 1).coeffs, want, fails, n=n)
     return fails
 
 
@@ -212,13 +197,11 @@ def _mfs_orbit_sq(bound: int) -> list[dict]:
             got = UniPoly.zero()
             for sigma in orbit:
                 got = got + UniPoly.monomial(2 * oracles.perm_stats(sigma).des)
-            want = UniPoly.zero()
             free = n - 1 - 2 * pk
-            for i in range(free + 1):
-                k = 2 * pk + i
-                want = want + UniPoly.monomial(k, binom(free, i) * 2**i * (-1) ** k) * (
-                    _ONE_PLUS_X ** (2 * n - 2 - 2 * k)
-                )
+            terms = (
+                (binom(free, i) * (-2) ** i, 2 * pk + i, 2 * free - 2 * i) for i in range(free + 1)
+            )
+            want = basis_sum(_ONE_PLUS_X, terms)
             if got != want:
                 fails.append(_w(got - want, n=n, orbit_of=list(min(orbit))))
     return fails
@@ -244,8 +227,7 @@ def _pnqn(bound: int) -> list[dict]:
     for n in range(1, bound + 1):
         lhs = s**n + t**n
         rhs = _pq_rhs(n, lambda n, k: Fraction(n, n - k) * binom(n - k, k))
-        if lhs != rhs:
-            fails.append(_w(lhs - rhs, n=n))
+        _eq(lhs, rhs, fails, n=n)
     return fails
 
 
@@ -257,71 +239,27 @@ def _pnqn02(bound: int) -> list[dict]:
         lhs = BiPoly.zero()
         for i in range(n + 1):
             lhs = lhs + s**i * t ** (n - i)
-        rhs = _pq_rhs(n, lambda n, k: Fraction(binom(n - k, k)))
-        if lhs != rhs:
-            fails.append(_w(lhs - rhs, n=n))
+        _eq(lhs, _pq_rhs(n, lambda n, k: Fraction(binom(n - k, k))), fails, n=n)
     return fails
 
 
 # -- Narayana identities -------------------------------------------------------
 
 
-@_check("COKER1", "gamma expansion of type A Narayana: C_k C(n,2k)", 10)
-def _coker1(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    for n in range(bound + 1):
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            rhs = rhs + catalan(k) * binom(n, 2 * k) * UniPoly.monomial(k) * _ONE_PLUS_X ** (
-                n - 2 * k
-            )
-        _eq(fam.narayana("A", n), rhs, fails, n=n)
-    return fails
+def _squared_sum(coeffs: Sequence) -> UniPoly:
+    """sum_k c_k x^(2k) (1+x)^(2m-2k), k = 0..m: f(x^2) in the binomial basis."""
+    m = len(coeffs) - 1
+    return basis_sum(_ONE_PLUS_X, ((c, 2 * k, 2 * m - 2 * k) for k, c in enumerate(coeffs)))
 
 
-@_check("COKER2", "type A Narayana square-variable binomial identity", 10)
-def _coker2(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    for n in range(bound + 1):
-        na = fam.narayana("A", n)
-        lhs = UniPoly.zero()
-        for k in range(n + 1):
-            c = na.coefficient(k)
-            if c:
-                lhs = lhs + UniPoly.monomial(2 * k, c) * _ONE_PLUS_X ** (2 * n - 2 * k)
-        rhs = UniPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + catalan(k + 1) * binom(n, k) * UniPoly.monomial(k) * _ONE_PLUS_X**k
-        _eq(lhs, rhs, fails, n=n)
-    return fails
+def _diagonal_sum(coeffs: Sequence) -> UniPoly:
+    """sum_k c_k x^k (1+x)^k."""
+    return basis_sum(_ONE_PLUS_X, ((c, k, k) for k, c in enumerate(coeffs)))
 
 
-@_check("RIORDAN", "gamma expansion of type B Narayana: C(n,2k) C(2k,k)", 10)
-def _riordan(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    for n in range(bound + 1):
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            rhs = rhs + binom(n, 2 * k) * binom(2 * k, k) * UniPoly.monomial(
-                k
-            ) * _ONE_PLUS_X ** (n - 2 * k)
-        _eq(fam.narayana("B", n), rhs, fails, n=n)
-    return fails
-
-
-@_check("CWZ", "type B Narayana square-variable binomial identity", 10)
-def _cwz(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    for n in range(bound + 1):
-        lhs = UniPoly.zero()
-        rhs = UniPoly.zero()
-        for k in range(n + 1):
-            lhs = lhs + binom(n, k) ** 2 * UniPoly.monomial(2 * k) * _ONE_PLUS_X ** (
-                2 * n - 2 * k
-            )
-            rhs = rhs + binom(n, k) * binom(2 * k, k) * UniPoly.monomial(k) * _ONE_PLUS_X**k
-        _eq(lhs, rhs, fails, n=n)
-    return fails
+def _cwz_lhs(n: int) -> UniPoly:
+    """sum_k C(n,k)^2 x^(2k) (1+x)^(2n-2k), built from binomials alone."""
+    return _squared_sum([binom(n, k) ** 2 for k in range(n + 1)])
 
 
 def _na_alt_vector(n: int) -> tuple[Fraction, ...]:
@@ -332,14 +270,48 @@ def _nb_alt_vector(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(binom(n, k) * binom(2 * k, k)) for k in range(n + 1))
 
 
+@_check("COKER1", "gamma expansion of type A Narayana: C_k C(n,2k)", 10)
+def _coker1(bound: int) -> list[dict]:
+    fails: list[dict] = []
+    for n in range(bound + 1):
+        terms = ((catalan(k) * binom(n, 2 * k), k, n - 2 * k) for k in range(n // 2 + 1))
+        _eq(fam.narayana("A", n), basis_sum(_ONE_PLUS_X, terms), fails, n=n)
+    return fails
+
+
+@_check("COKER2", "type A Narayana square-variable binomial identity", 10)
+def _coker2(bound: int) -> list[dict]:
+    fails: list[dict] = []
+    for n in range(bound + 1):
+        na = fam.narayana("A", n)
+        lhs = _squared_sum([na.coefficient(k) for k in range(n + 1)])
+        _eq(lhs, _diagonal_sum(_na_alt_vector(n)), fails, n=n)
+    return fails
+
+
+@_check("RIORDAN", "gamma expansion of type B Narayana: C(n,2k) C(2k,k)", 10)
+def _riordan(bound: int) -> list[dict]:
+    fails: list[dict] = []
+    for n in range(bound + 1):
+        terms = ((binom(n, 2 * k) * binom(2 * k, k), k, n - 2 * k) for k in range(n // 2 + 1))
+        _eq(fam.narayana("B", n), basis_sum(_ONE_PLUS_X, terms), fails, n=n)
+    return fails
+
+
+@_check("CWZ", "type B Narayana square-variable binomial identity", 10)
+def _cwz(bound: int) -> list[dict]:
+    fails: list[dict] = []
+    for n in range(bound + 1):
+        _eq(_cwz_lhs(n), _diagonal_sum(_nb_alt_vector(n)), fails, n=n)
+    return fails
+
+
 @_check("NA_ALT", "alternating gamma vector of N(A_n, x^2) is C_(k+1) C(n,k)", 10)
 def _na_alt(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(bound + 1):
         got = alt_gamma_expand(fam.narayana("A", n).substitute_power(2), 2 * n).coeffs
-        want = _na_alt_vector(n)
-        if got != want:
-            fails.append(_w(f"{got} != {want}", n=n))
+        _eq(got, _na_alt_vector(n), fails, n=n)
     return fails
 
 
@@ -348,9 +320,7 @@ def _nb_alt(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(bound + 1):
         got = alt_gamma_expand(fam.narayana("B", n).substitute_power(2), 2 * n).coeffs
-        want = _nb_alt_vector(n)
-        if got != want:
-            fails.append(_w(f"{got} != {want}", n=n))
+        _eq(got, _nb_alt_vector(n), fails, n=n)
     return fails
 
 
@@ -358,13 +328,8 @@ def _nb_alt(bound: int) -> list[dict]:
 def _na_shift(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(bound + 1):
-        lhs = UniPoly(_na_alt_vector(n))
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            rhs = rhs + catalan(k) * binom(n, 2 * k) * UniPoly.monomial(2 * k) * _ONE_PLUS_2X ** (
-                n - 2 * k
-            )
-        _eq(lhs, rhs, fails, n=n)
+        terms = ((catalan(k) * binom(n, 2 * k), 2 * k, n - 2 * k) for k in range(n // 2 + 1))
+        _eq(UniPoly(_na_alt_vector(n)), basis_sum(_ONE_PLUS_2X, terms), fails, n=n)
     return fails
 
 
@@ -372,13 +337,8 @@ def _na_shift(bound: int) -> list[dict]:
 def _nb_shift(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(bound + 1):
-        lhs = UniPoly(_nb_alt_vector(n))
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            rhs = rhs + binom(n, 2 * k) * binom(2 * k, k) * UniPoly.monomial(
-                2 * k
-            ) * _ONE_PLUS_2X ** (n - 2 * k)
-        _eq(lhs, rhs, fails, n=n)
+        terms = ((binom(n, 2 * k) * binom(2 * k, k), 2 * k, n - 2 * k) for k in range(n // 2 + 1))
+        _eq(UniPoly(_nb_alt_vector(n)), basis_sum(_ONE_PLUS_2X, terms), fails, n=n)
     return fails
 
 
@@ -388,12 +348,11 @@ def _nd_alt(bound: int) -> list[dict]:
     for n in range(2, bound + 1):
         f = fam.narayana("D", n).substitute_power(2)
         got = alt_gamma_expand(f, 2 * n)
-        want = [Fraction(1)] + [
+        want = (Fraction(1),) + tuple(
             Fraction(binom(n, i) * binom(2 * i, i) - n * catalan(i - 1) * binom(n - 2, i - 2))
             for i in range(1, n + 1)
-        ]
-        if list(got.coeffs) != want:
-            fails.append(_w(f"{got.coeffs} != {want}", n=n))
+        )
+        _eq(got.coeffs, want, fails, n=n)
         if not got.is_nonnegative():
             fails.append(_w("negative alternating gamma entry", n=n))
     return fails
@@ -402,126 +361,102 @@ def _nd_alt(bound: int) -> list[dict]:
 # -- differential operator identities -----------------------------------------
 
 
-def _ratfun_xd() -> RatFun:
-    return RatFun(_X)
+_XD = RatFun(_X)
+_X2D = RatFun(UniPoly.monomial(2), _ONE_MINUS_X2)
 
 
-def _ratfun_x2d() -> RatFun:
-    return RatFun(UniPoly.monomial(2), UniPoly([1, 0, -1]))
-
-
-def _one_minus_x2_pow(m: int) -> UniPoly:
-    return UniPoly([1, 0, -1]) ** m
+def _iterate(op: RatFun, start: RatFun, want: Callable[[int], RatFun], bound: int) -> list[dict]:
+    """Apply op to start n times and compare with want(n), n = 1..bound."""
+    fails: list[dict] = []
+    got = start
+    for n in range(1, bound + 1):
+        got = apply_diff_operator(op, got, 1)
+        _eq(got, want(n), fails, n=n)
+    return fails
 
 
 @_check("OPID_A", "(xD)^n 1/(1-x) = x A_n(x)/(1-x)^(n+1)", 10)
 def _opid_a(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_ONE, _ONE_MINUS_X)
-    op = _ratfun_xd()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(_X * fam.eulerian_a(n), _ONE_MINUS_X ** (n + 1))
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+    return _iterate(
+        _XD,
+        RatFun(_ONE, _ONE_MINUS_X),
+        lambda n: RatFun(_X * fam.eulerian_a(n), _ONE_MINUS_X ** (n + 1)),
+        bound,
+    )
 
 
 @_check("OPID_A2", "(xD)^n 1/(1-x^2) = 2^n x^2 A_n(x^2)/(1-x^2)^(n+1)", 10)
 def _opid_a2(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_ONE, UniPoly([1, 0, -1]))
-    op = _ratfun_xd()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(
+    return _iterate(
+        _XD,
+        RatFun(_ONE, _ONE_MINUS_X2),
+        lambda n: RatFun(
             2**n * UniPoly.monomial(2) * fam.eulerian_a(n).substitute_power(2),
-            _one_minus_x2_pow(n + 1),
-        )
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+            _ONE_MINUS_X2 ** (n + 1),
+        ),
+        bound,
+    )
 
 
 @_check("OPID_B2", "(xD)^n x/(1-x^2) = x B_n(x^2)/(1-x^2)^(n+1)", 10)
 def _opid_b2(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_X, UniPoly([1, 0, -1]))
-    op = _ratfun_xd()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(
-            _X * fam.eulerian_b(n).substitute_power(2), _one_minus_x2_pow(n + 1)
-        )
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+    return _iterate(
+        _XD,
+        RatFun(_X, _ONE_MINUS_X2),
+        lambda n: RatFun(_X * fam.eulerian_b(n).substitute_power(2), _ONE_MINUS_X2 ** (n + 1)),
+        bound,
+    )
 
 
 @_check("OPID_NA", "iterated x^2/(1-x^2) D of 1/(1-x^2) gives modified type A Narayana", 8)
 def _opid_na(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_ONE, UniPoly([1, 0, -1]))
-    op = _ratfun_x2d()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(
-            fam.factorial(n + 1)
+    return _iterate(
+        _X2D,
+        RatFun(_ONE, _ONE_MINUS_X2),
+        lambda n: RatFun(
+            math.factorial(n + 1)
             * UniPoly.monomial(n + 2)
             * fam.narayana("A", n - 1).substitute_power(2),
-            _one_minus_x2_pow(2 * n + 1),
-        )
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+            _ONE_MINUS_X2 ** (2 * n + 1),
+        ),
+        bound,
+    )
 
 
 @_check("OPID_NB", "iterated x^2/(1-x^2) D of x/(1-x^2) gives modified type B Narayana", 8)
 def _opid_nb(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_X, UniPoly([1, 0, -1]))
-    op = _ratfun_x2d()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(
-            fam.factorial(n)
-            * UniPoly.monomial(n + 1)
-            * fam.narayana("B", n).substitute_power(2),
-            _one_minus_x2_pow(2 * n + 1),
-        )
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+    return _iterate(
+        _X2D,
+        RatFun(_X, _ONE_MINUS_X2),
+        lambda n: RatFun(
+            math.factorial(n) * UniPoly.monomial(n + 1) * fam.narayana("B", n).substitute_power(2),
+            _ONE_MINUS_X2 ** (2 * n + 1),
+        ),
+        bound,
+    )
 
 
 @_check("OPID_MN", "iterated x^2/(1-x^2) D of 1/(1-x) gives the stable combination", 8)
 def _opid_mn(bound: int) -> list[dict]:
-    fails: list[dict] = []
-    got = RatFun(_ONE, _ONE_MINUS_X)
-    op = _ratfun_x2d()
-    for n in range(1, bound + 1):
-        got = apply_diff_operator(op, got, 1)
-        want = RatFun(
-            fam.factorial(n) * UniPoly.monomial(n + 1) * fam.mn_combination(n),
-            _one_minus_x2_pow(2 * n + 1),
-        )
-        if got != want:
-            fails.append(_w(str(got) + " != " + str(want), n=n))
-    return fails
+    return _iterate(
+        _X2D,
+        RatFun(_ONE, _ONE_MINUS_X),
+        lambda n: RatFun(
+            math.factorial(n) * UniPoly.monomial(n + 1) * fam.mn_combination(n),
+            _ONE_MINUS_X2 ** (2 * n + 1),
+        ),
+        bound,
+    )
 
 
 # -- the stable Narayana combination -------------------------------------------
 
 
-def _mn_alt_vector(n: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for k in range(1, n + 1):
-        out.append(
-            Fraction(
-                binom(n, k) * binom(2 * k, k) - (n + 1) * catalan(k) * binom(n - 1, k - 1)
-            )
-        )
-    return out
+def _mn_alt_vector(n: int) -> tuple[Fraction, ...]:
+    return (Fraction(1),) + tuple(
+        Fraction(binom(n, k) * binom(2 * k, k) - (n + 1) * catalan(k) * binom(n - 1, k - 1))
+        for k in range(1, n + 1)
+    )
 
 
 @_check("MN_GAMMA", "alternating gamma vector of the combination is nonnegative, top entry zero", 8)
@@ -529,10 +464,7 @@ def _mn_gamma(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
         got = alt_gamma_expand(fam.mn_combination(n), 2 * n)
-        want = _mn_alt_vector(n)
-        if list(got.coeffs) != want:
-            fails.append(_w(f"{got.coeffs} != {want}", n=n))
-            continue
+        _eq(got.coeffs, _mn_alt_vector(n), fails, n=n)
         if not got.is_nonnegative():
             fails.append(_w("negative entry", n=n))
         if got.coeffs[n] != 0:
@@ -605,16 +537,17 @@ def _ln_sum(bound: int) -> list[dict]:
 # -- peak-polynomial identities --------------------------------------------------
 
 
+def _peak_sum(peaks: UniPoly, step: int, base: UniPoly, top: int) -> UniPoly:
+    """sum_k 4^k peaks_k x^(step k) base^(top-2k), k = 0..top//2."""
+    terms = ((4**k * peaks.coefficient(k), step * k, top - 2 * k) for k in range(top // 2 + 1))
+    return basis_sum(base, terms)
+
+
 @_check("STEMBRIDGE", "2^(n-1) A_n = sum 4^k P(n,k) x^k (1+x)^(n-1-2k)", 10)
 def _stembridge(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        pk = fam.peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range((n - 1) // 2 + 1):
-            c = pk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(k, 4**k * c) * _ONE_PLUS_X ** (n - 1 - 2 * k)
+        rhs = _peak_sum(fam.peak_poly(n), 1, _ONE_PLUS_X, n - 1)
         _eq(2 ** (n - 1) * fam.eulerian_a(n), rhs, fails, n=n)
     return fails
 
@@ -623,13 +556,7 @@ def _stembridge(bound: int) -> list[dict]:
 def _leftpeak_b(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        lpk = fam.left_peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            c = lpk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(k, 4**k * c) * _ONE_PLUS_X ** (n - 2 * k)
-        _eq(fam.eulerian_b(n), rhs, fails, n=n)
+        _eq(fam.eulerian_b(n), _peak_sum(fam.left_peak_poly(n), 1, _ONE_PLUS_X, n), fails, n=n)
     return fails
 
 
@@ -656,28 +583,11 @@ def _thm51_i(bound: int) -> list[dict]:
 def _thm51_ii(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        an = fam.eulerian_a(n)
-        lhs = UniPoly.zero()
-        for k in range(n):
-            c = an.coefficient(k)
-            if c:
-                lhs = lhs + UniPoly.monomial(2 * k, c) * _ONE_PLUS_X ** (2 * n - 2 - 2 * k)
-        rhs = UniPoly.zero()
-        for k, c in enumerate(_a_vector(n).coeffs):
-            if c:
-                rhs = rhs + UniPoly.monomial(k, c) * _ONE_PLUS_X**k
-        _eq(lhs, rhs, fails, n=n, side="A")
-        bn = fam.eulerian_b(n)
-        lhs = UniPoly.zero()
-        for k in range(n + 1):
-            c = bn.coefficient(k)
-            if c:
-                lhs = lhs + UniPoly.monomial(2 * k, c) * _ONE_PLUS_X ** (2 * n - 2 * k)
-        rhs = UniPoly.zero()
-        for k, c in enumerate(_b_vector(n).coeffs):
-            if c:
-                rhs = rhs + UniPoly.monomial(k, c) * _ONE_PLUS_X**k
-        _eq(lhs, rhs, fails, n=n, side="B")
+        an, bn = fam.eulerian_a(n), fam.eulerian_b(n)
+        lhs = _squared_sum([an.coefficient(k) for k in range(n)])
+        _eq(lhs, _diagonal_sum(_a_vector(n).coeffs), fails, n=n, side="A")
+        lhs = _squared_sum([bn.coefficient(k) for k in range(n + 1)])
+        _eq(lhs, _diagonal_sum(_b_vector(n).coeffs), fails, n=n, side="B")
     return fails
 
 
@@ -685,22 +595,10 @@ def _thm51_ii(bound: int) -> list[dict]:
 def _thm51_iii(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        a_n = UniPoly(_a_vector(n).coeffs)
-        pk = fam.peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range((n - 1) // 2 + 1):
-            c = pk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(2 * k, 4**k * c) * _ONE_PLUS_2X ** (n - 1 - 2 * k)
-        _eq(a_n, Fraction(1, 2 ** (n - 1)) * rhs, fails, n=n, side="a")
-        b_n = UniPoly(_b_vector(n).coeffs)
-        lpk = fam.left_peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            c = lpk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(2 * k, 4**k * c) * _ONE_PLUS_2X ** (n - 2 * k)
-        _eq(b_n, rhs, fails, n=n, side="b")
+        rhs = _peak_sum(fam.peak_poly(n), 2, _ONE_PLUS_2X, n - 1)
+        _eq(UniPoly(_a_vector(n).coeffs), Fraction(1, 2 ** (n - 1)) * rhs, fails, n=n, side="a")
+        rhs = _peak_sum(fam.left_peak_poly(n), 2, _ONE_PLUS_2X, n)
+        _eq(UniPoly(_b_vector(n).coeffs), rhs, fails, n=n, side="b")
     return fails
 
 
@@ -708,28 +606,13 @@ def _thm51_iii(bound: int) -> list[dict]:
 def _thm51_iv(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        a_n = UniPoly(_a_vector(n).coeffs)
-        alpha = binomial_basis_expand(a_n, n - 1, "+").coeffs
-        gamma_poly = UniPoly.zero()
-        pk = fam.peak_poly(n)
-        for k in range((n - 1) // 2 + 1):
-            c = pk.coefficient(k)
-            if c:
-                gamma_poly = gamma_poly + UniPoly.monomial(2 * k, Fraction(4**k * c, 2 ** (n - 1)))
+        alpha = binomial_basis_expand(UniPoly(_a_vector(n).coeffs), n - 1, "+").coeffs
+        gamma_poly = Fraction(1, 2 ** (n - 1)) * _peak_sum(fam.peak_poly(n), 2, _ONE, n - 1)
         got = binomial_basis_expand(gamma_poly, n - 1, "-").coeffs
-        if got != alpha:
-            fails.append(_w(f"{got} != {alpha}", n=n, side="alpha"))
-        b_n = UniPoly(_b_vector(n).coeffs)
-        beta = binomial_basis_expand(b_n, n, "+").coeffs
-        gamma_poly = UniPoly.zero()
-        lpk = fam.left_peak_poly(n)
-        for k in range(n // 2 + 1):
-            c = lpk.coefficient(k)
-            if c:
-                gamma_poly = gamma_poly + UniPoly.monomial(2 * k, 4**k * c)
-        got = binomial_basis_expand(gamma_poly, n, "-").coeffs
-        if got != beta:
-            fails.append(_w(f"{got} != {beta}", n=n, side="beta"))
+        _eq(got, alpha, fails, n=n, side="alpha")
+        beta = binomial_basis_expand(UniPoly(_b_vector(n).coeffs), n, "+").coeffs
+        got = binomial_basis_expand(_peak_sum(fam.left_peak_poly(n), 2, _ONE, n), n, "-").coeffs
+        _eq(got, beta, fails, n=n, side="beta")
     return fails
 
 
@@ -737,19 +620,9 @@ def _thm51_iv(bound: int) -> list[dict]:
 def _cor15(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        pk = fam.peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range((n - 1) // 2 + 1):
-            c = pk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(2 * k, 4**k * c) * _ONE_PLUS_X ** (n - 1 - 2 * k)
+        rhs = _peak_sum(fam.peak_poly(n), 2, _ONE_PLUS_X, n - 1)
         _eq(fam.ab_polys("alpha", n), Fraction(1, 2 ** (n - 1)) * rhs, fails, n=n, side="alpha")
-        lpk = fam.left_peak_poly(n)
-        rhs = UniPoly.zero()
-        for k in range(n // 2 + 1):
-            c = lpk.coefficient(k)
-            if c:
-                rhs = rhs + UniPoly.monomial(2 * k, 4**k * c) * _ONE_PLUS_X ** (n - 2 * k)
+        rhs = _peak_sum(fam.left_peak_poly(n), 2, _ONE_PLUS_X, n)
         _eq(fam.ab_polys("beta", n), rhs, fails, n=n, side="beta")
     return fails
 
@@ -771,13 +644,13 @@ def _abrec(bound: int) -> list[dict]:
 def _specials(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        if fam.eulerian_a(n).evaluate(1) != fam.factorial(n):
+        if fam.eulerian_a(n).evaluate(1) != math.factorial(n):
             fails.append(_w("A_n(1) != n!", n=n))
-        if fam.eulerian_b(n).evaluate(1) != 2**n * fam.factorial(n):
+        if fam.eulerian_b(n).evaluate(1) != 2**n * math.factorial(n):
             fails.append(_w("B_n(1) != 2^n n!", n=n))
-        if fam.ab_polys("alpha", n).evaluate(1) != fam.factorial(n):
+        if fam.ab_polys("alpha", n).evaluate(1) != math.factorial(n):
             fails.append(_w("alpha_n(1) != n!", n=n))
-        if fam.ab_polys("beta", n).evaluate(1) != 2**n * fam.factorial(n):
+        if fam.ab_polys("beta", n).evaluate(1) != 2**n * math.factorial(n):
             fails.append(_w("beta_n(1) != 2^n n!", n=n))
         want = Fraction((-1) ** (n - 1), 2 ** (n - 1)) * fam.peak_poly(n).evaluate(4)
         if fam.ab_polys("a", n).evaluate(-1) != want:
@@ -891,8 +764,8 @@ def _product_lemma(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
     for trial in range(samples):
-        f, n = _random_alt_positive(rng)
-        g, m = _random_alt_positive(rng)
+        f, n = _random_gamma(rng, (0, 10), 0, -1)
+        g, m = _random_gamma(rng, (0, 10), 0, -1)
         if not alt_gamma_expand(f * g, n + m).is_nonnegative():
             fails.append(_w("product lost alternating positivity", trial=trial))
     return fails
@@ -906,7 +779,7 @@ def _thm31_i(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
     for trial in range(samples):
-        f, n = _random_gamma_positive(rng)
+        f, n = _random_gamma(rng, (1, 12), 0)
         for m in (1, 2, 3):
             if not alt_gamma_expand(f.substitute_power(2 * m), 2 * m * n).is_nonnegative():
                 fails.append(_w("negative entry", trial=trial, m=m))
@@ -918,13 +791,11 @@ def _thm31_ii(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
     for trial in range(samples):
-        f, n = _random_symmetric(rng)
+        f, n = _random_gamma(rng)
         if f.is_zero():
             continue
         eta = eta_from_gamma(gamma_expand(f, n))
-        got = alt_gamma_expand(f.substitute_power(2), 2 * n).coeffs
-        if got != eta:
-            fails.append(_w(f"{got} != {eta}", trial=trial))
+        _eq(alt_gamma_expand(f.substitute_power(2), 2 * n).coeffs, eta, fails, trial=trial)
     return fails
 
 
@@ -933,22 +804,15 @@ def _thm31_iii(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
     for trial in range(samples):
-        f, n = _random_symmetric(rng)
+        f, n = _random_gamma(rng)
         if f.is_zero():
             continue
         g = gamma_expand(f, n)
         eta_poly = UniPoly(eta_from_gamma(g))
-        rhs1 = UniPoly.zero()
-        for i, c in enumerate(g.coeffs):
-            if c:
-                rhs1 = rhs1 + UniPoly.monomial(2 * i, c) * _ONE_PLUS_2X ** (n - 2 * i)
-        _eq(eta_poly, rhs1, fails, trial=trial, side="1+2x")
-        xi = xi_from_gamma(g)
-        rhs2 = UniPoly.zero()
-        for k, c in enumerate(xi):
-            if c:
-                rhs2 = rhs2 + UniPoly.monomial(k, c) * _ONE_PLUS_X ** (n - k)
-        _eq(eta_poly, rhs2, fails, trial=trial, side="1+x")
+        rhs = basis_sum(_ONE_PLUS_2X, ((c, 2 * i, n - 2 * i) for i, c in enumerate(g.coeffs)))
+        _eq(eta_poly, rhs, fails, trial=trial, side="1+2x")
+        rhs = basis_sum(_ONE_PLUS_X, ((c, k, n - k) for k, c in enumerate(xi_from_gamma(g))))
+        _eq(eta_poly, rhs, fails, trial=trial, side="1+x")
     return fails
 
 
@@ -957,23 +821,16 @@ def _thm31_iv(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
     for trial in range(samples):
-        f, n = _random_symmetric(rng)
+        f, n = _random_gamma(rng)
         if f.is_zero():
             continue
         g = gamma_expand(f, n)
-        gamma_poly = UniPoly.zero()
-        for i, c in enumerate(g.coeffs):
-            if c:
-                gamma_poly = gamma_poly + UniPoly.monomial(2 * i, c)
+        gamma_poly = UniPoly(g.coeffs).substitute_power(2)
         xi = xi_from_gamma(g)
-        rhs1 = UniPoly.zero()
-        rhs2 = UniPoly.zero()
-        for k, c in enumerate(xi):
-            if c:
-                rhs1 = rhs1 + UniPoly.monomial(k, c * (-1) ** k) * _ONE_PLUS_X ** (n - k)
-                rhs2 = rhs2 + UniPoly.monomial(k, c) * _ONE_MINUS_X ** (n - k)
-        _eq(gamma_poly, rhs1, fails, trial=trial, side="(-x)(1+x)")
-        _eq(gamma_poly, rhs2, fails, trial=trial, side="x(1-x)")
+        rhs = basis_sum(_ONE_PLUS_X, ((c * (-1) ** k, k, n - k) for k, c in enumerate(xi)))
+        _eq(gamma_poly, rhs, fails, trial=trial, side="(-x)(1+x)")
+        rhs = basis_sum(_ONE_MINUS_X, ((c, k, n - k) for k, c in enumerate(xi)))
+        _eq(gamma_poly, rhs, fails, trial=trial, side="x(1-x)")
     return fails
 
 
@@ -984,10 +841,8 @@ def _odd_cex(_bound: int) -> list[dict]:
     if gamma_expand(f, 2).coeffs != (Fraction(1), Fraction(2)):
         fails.append(_w("gamma vector of the base polynomial is wrong"))
     cube = f.substitute_power(3)
-    got = alt_gamma_expand(cube, 6).coeffs
     want = (Fraction(1), Fraction(6), Fraction(9), Fraction(-2))
-    if got != want:
-        fails.append(_w(f"{got} != {want}"))
+    _eq(alt_gamma_expand(cube, 6).coeffs, want, fails)
     if classify(f, 2).gamma_positive != "yes":
         fails.append(_w("base polynomial should classify gamma-positive"))
     if classify(cube, 6).alt_gamma_positive != "no":
@@ -1036,12 +891,7 @@ def _cy_count(bound: int) -> list[dict]:
         if oracles.young2_count(n) != binom(2 * n, n):
             fails.append(_w("diagram count is not the central binomial", n=n))
         lhs = oracles.young2_weight_poly(n, "x_and_1px")
-        rhs = UniPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + binom(n, k) ** 2 * UniPoly.monomial(2 * k) * _ONE_PLUS_X ** (
-                2 * n - 2 * k
-            )
-        _eq(lhs, rhs, fails, n=n, weighting="x_and_1px")
+        _eq(lhs, _cwz_lhs(n), fails, n=n, weighting="x_and_1px")
     return fails
 
 
@@ -1076,8 +926,7 @@ def _bm_recu(bound: int) -> list[dict]:
             prev = fam.boros_moll_coefficient(m, i - 1) if i >= 1 else Fraction(0)
             cur = fam.boros_moll_coefficient(m, i) if i <= m else Fraction(0)
             rhs = 2 * (m + i) * prev + (4 * m + 2 * i + 3) * cur
-            if lhs != rhs:
-                fails.append(_w(f"{lhs} != {rhs}", m=m, i=i))
+            _eq(lhs, rhs, fails, m=m, i=i)
     return fails
 
 
@@ -1085,17 +934,15 @@ def _bm_recu(bound: int) -> list[dict]:
 def _bm_q(bound: int) -> list[dict]:
     fails: list[dict] = []
     for m in range(bound + 1):
-        want = 2**m * fam.factorial(m) * fam.boros_moll(m).reverse(m)
+        want = 2**m * math.factorial(m) * fam.boros_moll(m).reverse(m)
         _eq(fam.q_poly(m), want, fails, m=m)
     for m in range(bound):
         qm, qm1 = fam.q_poly(m), fam.q_poly(m + 1)
         for i in range(m + 2):
-            lhs = qm1.coefficient(i)
             rhs = (4 * m - 2 * i + 2) * qm.coefficient(i) + (6 * m - 2 * i + 5) * qm.coefficient(
                 i - 1
             )
-            if lhs != rhs:
-                fails.append(_w(f"{lhs} != {rhs}", m=m, i=i))
+            _eq(qm1.coefficient(i), rhs, fails, m=m, i=i)
     return fails
 
 
@@ -1128,26 +975,13 @@ def run_identity(ident: str, bound: int | None = None) -> VerificationReport:
     bound = check.default_bound if bound is None else bound
     fails = check.runner(bound)
     range_run = "fixed" if check.var == "fixed" else f"{check.var} <= {bound}"
-    return VerificationReport(
-        ident=ident,
-        range_run=range_run,
-        status=FAIL if fails else PASS,
-        witness=fails[0] if fails else None,
-    )
+    return _report(ident, range_run, fails)
 
 
-def run_all(
-    bounds: dict[str, int] | None = None, threads: int = 1
-) -> list[VerificationReport]:
+def run_all(bounds: dict[str, int] | None = None) -> list[VerificationReport]:
     """Run every registered identity, reports ordered by id."""
     bounds = bounds or {}
-    idents = sorted(REGISTRY)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda i: run_identity(i, bounds.get(i)), idents))
-    else:
-        reports = [run_identity(i, bounds.get(i)) for i in idents]
-    return reports
+    return [run_identity(i, bounds.get(i)) for i in sorted(REGISTRY)]
 
 
 def all_pass(reports: Iterable[VerificationReport]) -> bool:
@@ -1174,12 +1008,7 @@ def conjecture_boros_moll(max_m: int = 20) -> VerificationReport:
             fails.append(_w("a_m not alternatingly gamma-positive", m=m))
         if not b.is_zero() and not alt_gamma_expand(b, m - 1).is_nonnegative():
             fails.append(_w("b_m not alternatingly gamma-positive", m=m))
-    return VerificationReport(
-        ident="CONJ_BOROS_MOLL",
-        range_run=f"m <= {max_m}",
-        status=FAIL if fails else HOLDS,
-        witness=fails[0] if fails else None,
-    )
+    return _report("CONJ_BOROS_MOLL", f"m <= {max_m}", fails, HOLDS)
 
 
 _ONE_PLUS_T = BiPoly((UniPoly.one(), UniPoly.one()))
@@ -1255,9 +1084,4 @@ def conjecture_des_exc(
             full = fam.biv_des_exc(n).substitute_s(s0)
             if not is_unimodal(full, n - 1):
                 fails.append(_w("joint enumerator not unimodal", n=n, s=str(s0)))
-    return VerificationReport(
-        ident="CONJ_DES_EXC",
-        range_run=f"n <= {max_n}",
-        status=FAIL if fails else HOLDS,
-        witness=fails[0] if fails else None,
-    )
+    return _report("CONJ_DES_EXC", f"n <= {max_n}", fails, HOLDS)

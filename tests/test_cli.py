@@ -138,3 +138,10 @@ def test_unknown_flag_is_an_error(capsys):
 def test_polynomial_text_round_trip_via_cli(capsys):
     _, out = run(capsys, "family", "l_poly", "--n", "4")
     assert UniPoly.from_text(out.strip()) == fam.l_poly(4)
+
+
+@pytest.mark.parametrize("cap", ["abc", "-1"])
+def test_bad_enumeration_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("GAMMALAB_MAX_N", cap)
+    assert cli.main(["verify", "FOATA"]) == 2
+    assert "GAMMALAB_MAX_N" in capsys.readouterr().err

@@ -77,9 +77,22 @@ def test_xi_from_gamma_examples():
 
 
 def test_power_substitute():
-    assert ex.power_substitute(UniPoly([1, 1]), 2) == UniPoly([1, 0, 1])
+    assert UniPoly([1, 1]).substitute_power(2) == UniPoly([1, 0, 1])
     f = UniPoly([2, -1, 5])
-    assert ex.power_substitute(f, 1) == f
+    assert f.substitute_power(1) == f
+    assert f.substitute_power(3) == UniPoly([2, 0, 0, -1, 0, 0, 5])
+    assert UniPoly.zero().substitute_power(4) == UniPoly.zero()
+    with pytest.raises(ValueError):
+        f.substitute_power(0)
+
+
+def test_broken_peeling_raises_arithmetic_error(monkeypatch):
+    # A wrong basis power must surface as an exception even under python -O.
+    monkeypatch.setattr(ex, "_one_plus_x_pow", lambda m: ONE_PLUS_X ** (m + 1))
+    with pytest.raises(ArithmeticError):
+        ex.gamma_expand(A4, 3)
+    with pytest.raises(ArithmeticError):
+        ex.binomial_basis_expand(UniPoly([1, 2, 3]), 2, "+")
 
 
 def test_hermite_biehler_split():

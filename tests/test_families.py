@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,18 @@ def test_l_polynomials():
         assert fam.lhat_poly(n).evaluate(1) == binom(2 * n, n)
 
 
+def test_l_recurrence_integrality_raises(monkeypatch):
+    # A wrong predecessor makes the division by n inexact; the recurrence
+    # must refuse it with an exception that survives python -O.
+    l_step, lhat_step = fam.l_poly.__wrapped__, fam.lhat_poly.__wrapped__
+    monkeypatch.setattr(fam, "l_poly", lambda n: UniPoly([1, 1]))
+    monkeypatch.setattr(fam, "lhat_poly", lambda n: UniPoly([1, 1]))
+    with pytest.raises(ArithmeticError):
+        l_step(2)
+    with pytest.raises(ArithmeticError):
+        lhat_step(3)
+
+
 def test_ab_family_values():
     assert [fam.ab_polys("a", n).to_text() for n in range(1, 5)] == [
         "1",
@@ -111,7 +124,7 @@ def test_boros_moll_values():
     assert fam.q_poly(1) == UniPoly([2, 3])
     assert fam.q_poly(2) == UniPoly([12, 30, 21])
     for m in range(12):
-        assert fam.q_poly(m) == 2**m * fam.factorial(m) * fam.boros_moll(m).reverse(m)
+        assert fam.q_poly(m) == 2**m * math.factorial(m) * fam.boros_moll(m).reverse(m)
 
 
 def test_cyclotomic_values():

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -90,7 +91,7 @@ def test_mfs_orbits_partition():
         for orbit in orbits:
             assert not (orbit & seen)
             seen |= orbit
-        assert len(seen) == fam.factorial(n)
+        assert len(seen) == math.factorial(n)
 
 
 def test_stirling_permutations():

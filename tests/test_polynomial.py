@@ -11,6 +11,7 @@ from gammalab.polynomial import (
     RatFun,
     UniPoly,
     apply_diff_operator,
+    basis_sum,
     f_to_h,
     poly_gcd,
 )
@@ -128,6 +129,14 @@ def test_apply_diff_operator_examples():
     assert got == RatFun(2 * UniPoly.monomial(3), ONE_MINUS_X2**3)
     got = apply_diff_operator(op, RatFun(X, ONE_MINUS_X2), 2)
     assert got == RatFun(2 * UniPoly.monomial(3) * UniPoly([1, 0, 4, 0, 1]), ONE_MINUS_X2**5)
+
+
+def test_basis_sum_examples():
+    assert basis_sum(ONE_PLUS_X, [(1, 0, 2), (3, 1, 0), (0, 5, 9)]) == UniPoly([1, 5, 1])
+    assert basis_sum(ONE_PLUS_X, []) == UniPoly.zero()
+    assert basis_sum(UniPoly([1, -1]), [(Fraction(1, 2), 2, 1)]) == UniPoly([0, 0, "1/2", "-1/2"])
+    # x (1+2x)^2 - 4 x^3 = x + 4x^2
+    assert basis_sum(UniPoly([1, 2]), [(1, 1, 2), (-4, 3, 0)]) == UniPoly([0, 1, 4])
 
 
 def test_f_to_h_examples():
