@@ -6,7 +6,8 @@ wire format ("c0 c1 c2 ...", rationals as "a" or "a/b").  With --json
 every command prints canonical JSON (sorted keys, no whitespace
 variance), so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 a check failed, 2 usage error.
+Exit codes: 0 success, 1 a check failed, 2 usage error (including a
+malformed coefficient and an input too large for the recursion limit).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import families as fam
 from . import oracles
@@ -29,7 +29,7 @@ from .expansions import (
     semi_gamma_decompose,
     symmetric_decomposition,
 )
-from .polynomial import BiPoly, UniPoly
+from .polynomial import BiPoly, UniPoly, parse_scalar
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -246,7 +246,7 @@ def _cmd_conjecture(args) -> int:
     if args.conjecture_command == "boros-moll":
         report = verify.conjecture_boros_moll(args.max_m)
     else:
-        s_values = tuple(Fraction(s) for s in (args.s or ["1", "3/2", "2"]))
+        s_values = tuple(parse_scalar(s) for s in (args.s or ["1", "3/2", "2"]))
         report = verify.conjecture_des_exc(args.max_n, s_values)
     if args.json:
         print(canonical_json(report.to_json()))
@@ -278,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_conjecture(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"gammalab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("gammalab: input too large (recursion limit exceeded)", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -16,13 +16,13 @@ Sign conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .polynomial import (
     ONE_MINUS_X,
     ONE_PLUS_X,
     DegreeTooSmall,
+    Scalar,
     UniPoly,
     basis_sum,
     binom,
@@ -63,7 +63,7 @@ class GammaExpansion:
     """Coefficients in the basis (sign*x)^k (1+x)^(n-2k), k = 0..n//2."""
 
     center_degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
     sign: str
 
     def reconstruct(self) -> UniPoly:
@@ -87,7 +87,7 @@ class BinomialExpansion:
     """Coefficients in the basis x^k (1 sign x)^(n-k), k = 0..n."""
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
     sign: str
 
     def reconstruct(self) -> UniPoly:
@@ -115,7 +115,7 @@ class SemiGammaDecomposition:
 
     nu: int
     center: int
-    lam: tuple[Fraction, ...]
+    lam: tuple[Scalar, ...]
     f1: UniPoly
     f2: UniPoly
 
@@ -133,8 +133,8 @@ class AltSemiGammaDecomposition:
 
     nu: int
     center: int
-    xi: tuple[Fraction, ...]
-    zeta: tuple[Fraction, ...]
+    xi: tuple[Scalar, ...]
+    zeta: tuple[Scalar, ...]
 
     def reconstruct(self) -> UniPoly:
         top = 2 * self.center + self.nu
@@ -223,7 +223,7 @@ def alt_gamma_expand(f: UniPoly, n: int) -> GammaExpansion:
     return GammaExpansion(n, tuple(c * (-1) ** k for k, c in enumerate(plus)), MINUS)
 
 
-def _peel_center(f: UniPoly, n: int) -> tuple[Fraction, ...]:
+def _peel_center(f: UniPoly, n: int) -> tuple[Scalar, ...]:
     rem = f
     out = []
     for k in range(n // 2 + 1):
@@ -254,29 +254,26 @@ def binomial_basis_expand(f: UniPoly, n: int, sign: str = PLUS) -> BinomialExpan
     return BinomialExpansion(n, tuple(out), sign)
 
 
-def eta_from_gamma(gamma: GammaExpansion) -> tuple[Fraction, ...]:
+def eta_from_gamma(gamma: GammaExpansion) -> tuple[Scalar, ...]:
     """eta_k = sum_i C(n-2i, k-2i) 2^(k-2i) gamma_i, the squared-variable vector."""
     if gamma.sign != PLUS:
         raise ValueError("eta is defined from a plus-sign gamma vector")
     n = gamma.center_degree
     g = gamma.coeffs
     return tuple(
-        sum(
-            (binom(n - 2 * i, k - 2 * i) * 2 ** (k - 2 * i) * g[i] for i in range(k // 2 + 1)),
-            Fraction(0),
-        )
+        sum(binom(n - 2 * i, k - 2 * i) * 2 ** (k - 2 * i) * g[i] for i in range(k // 2 + 1))
         for k in range(n + 1)
     )
 
 
-def xi_from_gamma(gamma: GammaExpansion) -> tuple[Fraction, ...]:
+def xi_from_gamma(gamma: GammaExpansion) -> tuple[Scalar, ...]:
     """xi_k = sum_i C(n-2i, k-2i) gamma_i."""
     if gamma.sign != PLUS:
         raise ValueError("xi is defined from a plus-sign gamma vector")
     n = gamma.center_degree
     g = gamma.coeffs
     return tuple(
-        sum((binom(n - 2 * i, k - 2 * i) * g[i] for i in range(k // 2 + 1)), Fraction(0))
+        sum(binom(n - 2 * i, k - 2 * i) * g[i] for i in range(k // 2 + 1))
         for k in range(n + 1)
     )
 
@@ -325,7 +322,7 @@ def semi_gamma_decompose(f: UniPoly) -> SemiGammaDecomposition:
             continue
         g1 = _peel_center(f1, n)
         g2 = _peel_center(f2, n - 1) if n >= 1 else ()
-        lam = [Fraction(0)] * (n + 1)
+        lam = [0] * (n + 1)
         for j, c in enumerate(g1):
             lam[2 * j] = c
         for j, c in enumerate(g2):

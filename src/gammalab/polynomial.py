@@ -13,20 +13,28 @@ built on top of them:
   denominator (primitive integer coefficients, positive leading
   coefficient), so equality is plain field equality.
 
-All scalars are ``fractions.Fraction``.  Floating point is rejected on
-input: every claim checked downstream is an exact sign or coefficient
-statement and a tolerance would corrupt it.
+Scalars are exact rationals in one canonical form: an ``int`` when the
+value is an integer, else a ``fractions.Fraction`` whose denominator is
+not 1.  ``as_scalar`` enforces it and the ``UniPoly`` constructor calls
+it, so integer polynomials do all their arithmetic on plain ints.
+Every division goes through ``scalar_div``, because ``/`` on two ints
+gives a float.  Floating point is rejected on input: every claim
+checked downstream is an exact sign or coefficient statement and a
+tolerance would corrupt it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 ScalarLike = Union[Fraction, int, str]
+
+_SCALAR_TOKEN = re.compile(r"[+-]?\d+(?:/\d+)?", re.ASCII)
 
 
 class NotDivisible(ArithmeticError):
@@ -37,20 +45,40 @@ class DegreeTooSmall(ValueError):
     """A framing degree ``n`` was smaller than the polynomial degree."""
 
 
-def as_scalar(value: ScalarLike) -> Fraction:
-    """Coerce ``value`` to an exact rational; floats are refused."""
+def as_scalar(value: ScalarLike) -> Scalar:
+    """Coerce ``value`` to the canonical exact form; floats and bools are refused."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_scalar(value)
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
-def format_scalar(value: Fraction) -> str:
+def parse_scalar(token: str) -> Scalar:
+    """Parse one wire-format coefficient, ``a`` or ``a/b`` in decimal digits."""
+    if _SCALAR_TOKEN.fullmatch(token) is None:
+        raise ValueError(f"coefficient {token!r} is not of the form a or a/b")
+    num, _, den = token.partition("/")
+    if not den:
+        return int(num)
+    if int(den) == 0:
+        raise ValueError(f"coefficient {token!r} has a zero denominator")
+    return scalar_div(int(num), int(den))
+
+
+def scalar_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b in canonical form; two ints never make a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_scalar(a / b)
+
+
+def format_scalar(value: Scalar) -> str:
     """Render ``a`` or ``a/b`` in decimal digits, the text wire format."""
     return str(value)
 
@@ -68,12 +96,13 @@ def catalan(n: int) -> int:
 
 @dataclass(init=False, frozen=True)
 class UniPoly:
-    """Dense univariate polynomial over Q, canonical (no trailing zeros)."""
+    """Dense univariate polynomial over Q, canonical (no trailing zeros,
+    canonical scalars)."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [as_scalar(c) for c in coeffs]
+        cs = [c if type(c) is int else as_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -105,11 +134,11 @@ class UniPoly:
     @classmethod
     def from_text(cls, text: str) -> UniPoly:
         """Parse the wire format: whitespace-separated rationals, low to high."""
-        return cls(tuple(Fraction(tok) for tok in text.split()))
+        return cls(tuple(parse_scalar(tok) for tok in text.split()))
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> UniPoly:
-        return cls(tuple(Fraction(item) for item in items))
+        return cls(tuple(parse_scalar(item) for item in items))
 
     # -- inspection ---------------------------------------------------
 
@@ -121,13 +150,13 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int) -> Scalar:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
-    def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+    def leading_coefficient(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else 0
 
     def min_exponent(self) -> int | None:
         """Exponent of the lowest nonzero term, or None for zero."""
@@ -168,7 +197,7 @@ class UniPoly:
             return UniPoly(tuple(c * a for a in self.coeffs))
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -196,10 +225,10 @@ class UniPoly:
     def derivative(self) -> UniPoly:
         return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def evaluate(self, v: ScalarLike) -> Fraction:
+    def evaluate(self, v: ScalarLike) -> Scalar:
         """Exact Horner evaluation."""
         v = as_scalar(v)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
@@ -217,7 +246,7 @@ class UniPoly:
             raise ValueError("power substitution needs m >= 1")
         if self.is_zero():
             return self
-        out = [Fraction(0)] * (m * (len(self.coeffs) - 1) + 1)
+        out = [0] * (m * (len(self.coeffs) - 1) + 1)
         for i, c in enumerate(self.coeffs):
             out[m * i] = c
         return UniPoly(out)
@@ -229,7 +258,7 @@ class UniPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
+        q = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
         rem = list(self.coeffs)
         dlead = other.coeffs[-1]
         dlen = len(other.coeffs)
@@ -238,7 +267,7 @@ class UniPoly:
                 rem.pop()
             if len(rem) < dlen:
                 break
-            factor = rem[-1] / dlead
+            factor = scalar_div(rem[-1], dlead)
             shift = len(rem) - dlen
             q[shift] = factor
             for i, c in enumerate(other.coeffs):
@@ -261,7 +290,7 @@ class UniPoly:
     def monic(self) -> UniPoly:
         if self.is_zero():
             return self
-        return self * (1 / self.coeffs[-1])
+        return self * scalar_div(1, self.coeffs[-1])
 
     # -- reversal -------------------------------------------------------
 
@@ -270,23 +299,23 @@ class UniPoly:
         deg = self.degree
         if deg is not None and n < deg:
             raise DegreeTooSmall(f"reversal window {n} < degree {deg}")
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, c in enumerate(self.coeffs):
             out[n - i] = c
         return UniPoly(out)
 
     # -- scalar structure ------------------------------------------------
 
-    def content(self) -> Fraction:
+    def content(self) -> Scalar:
         """Positive rational c with self = c * (primitive integer polynomial)."""
         if self.is_zero():
-            return Fraction(0)
+            return 0
         num = 0
         den = 1
         for c in self.coeffs:
             num = math.gcd(num, c.numerator)
             den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return scalar_div(num, den)
 
     # -- formatting -------------------------------------------------------
 
@@ -373,8 +402,9 @@ class RatFun:
         scale = den.content()
         if den.leading_coefficient() < 0:
             scale = -scale
-        object.__setattr__(self, "num", num * (1 / scale))
-        object.__setattr__(self, "den", den * (1 / scale))
+        inverse = scalar_div(1, scale)
+        object.__setattr__(self, "num", num * inverse)
+        object.__setattr__(self, "den", den * inverse)
 
     @classmethod
     def from_poly(cls, p: UniPoly) -> RatFun:

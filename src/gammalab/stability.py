@@ -17,10 +17,9 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expansions import hermite_biehler_split
-from .polynomial import UniPoly, poly_gcd, squarefree_part
+from .polynomial import Scalar, UniPoly, poly_gcd, scalar_div, squarefree_part
 
 INTERLACES = "interlaces"
 ALTERNATES_LEFT = "alternates_left"
@@ -56,7 +55,7 @@ def _sturm_chain(g: UniPoly) -> tuple[UniPoly, ...]:
     return tuple(chain)
 
 
-def _sign_at(p: UniPoly, point: Fraction | None, positive_end: bool) -> int:
+def _sign_at(p: UniPoly, point: Scalar | None, positive_end: bool) -> int:
     if p.is_zero():
         return 0
     if point is None:
@@ -69,13 +68,13 @@ def _sign_at(p: UniPoly, point: Fraction | None, positive_end: bool) -> int:
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _variations(chain: tuple[UniPoly, ...], point: Fraction | None, positive_end: bool) -> int:
+def _variations(chain: tuple[UniPoly, ...], point: Scalar | None, positive_end: bool) -> int:
     signs = [s for p in chain if (s := _sign_at(p, point, positive_end)) != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_real_root_count(
-    f: UniPoly, lo: Fraction | None = None, hi: Fraction | None = None
+    f: UniPoly, lo: Scalar | None = None, hi: Scalar | None = None
 ) -> int:
     """Distinct real roots of f in (lo, hi]; None endpoints mean -/+ infinity."""
     if f.is_zero():
@@ -102,12 +101,10 @@ def is_real_rooted(f: UniPoly) -> bool:
     return count_distinct_real_roots(f) == sf.degree
 
 
-def cauchy_root_bound(f: UniPoly) -> Fraction:
+def cauchy_root_bound(f: UniPoly) -> Scalar:
     """B with every real root of f strictly inside (-B, B)."""
     lc = f.leading_coefficient()
-    return Fraction(1) + max(
-        (abs(c / lc) for c in f.coeffs[:-1]), default=Fraction(0)
-    )
+    return 1 + max((abs(scalar_div(c, lc)) for c in f.coeffs[:-1]), default=0)
 
 
 def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
@@ -134,17 +131,17 @@ def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     return tuple(out)
 
 
-def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
+def _isolate_squarefree(g: UniPoly) -> list[tuple[Scalar, Scalar]]:
     """Disjoint half-open intervals (lo, hi], one distinct root each."""
     if g.degree == 0:
         return []
     chain = _sturm_chain(g)
 
-    def var(point: Fraction) -> int:
+    def var(point: Scalar) -> int:
         return _variations(chain, point, True)
 
     bound = cauchy_root_bound(g)
-    out: list[tuple[Fraction, Fraction]] = []
+    out: list[tuple[Scalar, Scalar]] = []
     stack = [(-bound, bound, var(-bound) - var(bound))]
     while stack:
         lo, hi, count = stack.pop()
@@ -153,7 +150,7 @@ def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
         if count == 1:
             out.append((lo, hi))
             continue
-        mid = (lo + hi) / 2
+        mid = scalar_div(lo + hi, 2)
         left = var(lo) - var(mid)
         stack.append((lo, mid, left))
         stack.append((mid, hi, count - left))
@@ -165,7 +162,7 @@ def _isolate_squarefree(g: UniPoly) -> list[tuple[Fraction, Fraction]]:
 class RootIsolation:
     """Sorted disjoint intervals, each holding one distinct real root."""
 
-    intervals: tuple[tuple[Fraction, Fraction, int], ...]
+    intervals: tuple[tuple[Scalar, Scalar, int], ...]
 
     def total_with_multiplicity(self) -> int:
         return sum(m for _, _, m in self.intervals)
@@ -190,7 +187,7 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
     return RootIsolation(tuple(items))
 
 
-def _root_ordinals(p: UniPoly, intervals: list[tuple[Fraction, Fraction]]) -> list[int]:
+def _root_ordinals(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
     """Roots of p with multiplicity, encoded as ordinals of the shared
     isolating intervals, ascending.  Equal ordinals mean equal roots."""
     factors = yun_decomposition(p)
@@ -250,7 +247,7 @@ def _nonpositive_real_rooted(part: UniPoly) -> str | None:
     """None if every zero of part is real and <= 0, else the failing clause."""
     if not is_real_rooted(part):
         return "not real-rooted"
-    if part.degree and sturm_real_root_count(part, Fraction(0), None) > 0:
+    if part.degree and sturm_real_root_count(part, 0, None) > 0:
         return "has a positive zero"
     return None
 
@@ -320,10 +317,10 @@ def routh_stable(f: UniPoly) -> str:
         nxt = []
         for j in range(len(prev2) - 1):
             a = prev2[j + 1]
-            b = prev1[j + 1] if j + 1 < len(prev1) else Fraction(0)
-            nxt.append((prev1[0] * a - prev2[0] * b) / prev1[0])
+            b = prev1[j + 1] if j + 1 < len(prev1) else 0
+            nxt.append(scalar_div(prev1[0] * a - prev2[0] * b, prev1[0]))
         if not nxt:
-            nxt = [Fraction(0)]
+            nxt = [0]
         rows.append(nxt)
     first = [row[0] for row in rows]
     if any(c == 0 for c in first):

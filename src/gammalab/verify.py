@@ -86,16 +86,21 @@ class IdentityCheck:
     default_bound: int
     var: str
     runner: Callable[[int], list[dict]]
+    cap: Callable[[], int] | None = None
 
 
 REGISTRY: dict[str, IdentityCheck] = {}
 
 
-def _check(ident: str, description: str, bound: int, var: str = "n"):
+def _check(
+    ident: str, description: str, bound: int, var: str = "n", cap: Callable[[], int] | None = None
+):
+    """Register a runner; ``cap`` gives the largest bound its enumeration allows."""
+
     def deco(fn: Callable[[int], list[dict]]):
         if ident in REGISTRY:
             raise ValueError(f"duplicate identity id {ident}")
-        REGISTRY[ident] = IdentityCheck(ident, description, bound, var, fn)
+        REGISTRY[ident] = IdentityCheck(ident, description, bound, var, fn, cap)
         return fn
 
     return deco
@@ -161,19 +166,29 @@ def _cube(bound: int) -> list[dict]:
     return fails
 
 
-@_check("FOATA", "gamma vector of A_n counts peak-k permutations without double descents", 9)
+@_check(
+    "FOATA",
+    "gamma vector of A_n counts peak-k permutations without double descents",
+    9,
+    cap=oracles.sn_bound,
+)
 def _foata(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         want = tuple(Fraction(c) for c in oracles.gamma_count_vector(n))
         _eq(gamma_expand(fam.eulerian_a(n), n - 1).coeffs, want, fails, n=n)
     return fails
 
 
-@_check("MFS_ORBIT", "orbit descent polynomials are x^pk (1+x)^(n-1-2pk) and sum to A_n", 8)
+@_check(
+    "MFS_ORBIT",
+    "orbit descent polynomials are x^pk (1+x)^(n-1-2pk) and sum to A_n",
+    8,
+    cap=oracles.sn_bound,
+)
 def _mfs_orbit(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         total = UniPoly.zero()
         for orbit in oracles.mfs_orbit_partition(n):
             pk = oracles.perm_stats(next(iter(orbit))).pk
@@ -188,10 +203,15 @@ def _mfs_orbit(bound: int) -> list[dict]:
     return fails
 
 
-@_check("MFS_ORBIT_SQ", "squared-variable descent polynomial of each orbit expands alternately", 8)
+@_check(
+    "MFS_ORBIT_SQ",
+    "squared-variable descent polynomial of each orbit expands alternately",
+    8,
+    cap=oracles.sn_bound,
+)
 def _mfs_orbit_sq(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         for orbit in oracles.mfs_orbit_partition(n):
             pk = oracles.perm_stats(next(iter(orbit))).pk
             got = UniPoly.zero()
@@ -661,36 +681,51 @@ def _specials(bound: int) -> list[dict]:
     return fails
 
 
-@_check("ALPHA_ORACLE", "alpha_n is the pk+des distribution and the n-1-dasc distribution", 9)
+@_check(
+    "ALPHA_ORACLE",
+    "alpha_n is the pk+des distribution and the n-1-dasc distribution",
+    9,
+    cap=oracles.sn_bound,
+)
 def _alpha_oracle(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         want = fam.ab_polys("alpha", n)
         _eq(oracles.stat_polynomial(n, "pk+des"), want, fails, n=n, weight="pk+des")
         _eq(oracles.stat_polynomial(n, "n-1-dasc"), want, fails, n=n, weight="n-1-dasc")
     return fails
 
 
-@_check("BETA_ORACLE", "beta_n is the left-peak (2x)^(2lpk)(1+x)^(n-2lpk) distribution", 9)
+@_check(
+    "BETA_ORACLE",
+    "beta_n is the left-peak (2x)^(2lpk)(1+x)^(n-2lpk) distribution",
+    9,
+    cap=oracles.sn_bound,
+)
 def _beta_oracle(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         _eq(oracles.stat_polynomial(n, "beta"), fam.ab_polys("beta", n), fails, n=n)
     return fails
 
 
-@_check("EULERIAN_ORACLE", "A_n is the descent distribution over S_n", 9)
+@_check("EULERIAN_ORACLE", "A_n is the descent distribution over S_n", 9, cap=oracles.sn_bound)
 def _eulerian_oracle(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         _eq(oracles.stat_polynomial(n, "des"), fam.eulerian_a(n), fails, n=n)
     return fails
 
 
-@_check("PEAK_ORACLE", "P_n and Phat_n are the peak and left-peak distributions", 9)
+@_check(
+    "PEAK_ORACLE",
+    "P_n and Phat_n are the peak and left-peak distributions",
+    9,
+    cap=oracles.sn_bound,
+)
 def _peak_oracle(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.sn_bound()) + 1):
+    for n in range(1, bound + 1):
         _eq(oracles.stat_polynomial(n, "pk"), fam.peak_poly(n), fails, n=n, weight="pk")
         _eq(
             oracles.stat_polynomial(n, "lpk"),
@@ -720,10 +755,15 @@ def _fn_semi(bound: int) -> list[dict]:
     return fails
 
 
-@_check("STIRLING_FAP", "F_n is the flag ascent-plateau distribution on Stirling permutations", 7)
+@_check(
+    "STIRLING_FAP",
+    "F_n is the flag ascent-plateau distribution on Stirling permutations",
+    7,
+    cap=oracles.stirling_bound,
+)
 def _stirling_fap(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(1, min(bound, oracles.stirling_bound()) + 1):
+    for n in range(1, bound + 1):
         _eq(oracles.stirling_fap_poly(n), fam.flag_ap_poly(n), fails, n=n)
     return fails
 
@@ -759,7 +799,9 @@ def _thm_fnx(bound: int) -> list[dict]:
     return fails
 
 
-@_check("PRODUCT_LEMMA", "products of alternatingly gamma-positive polynomials stay so", 100, "samples")
+@_check(
+    "PRODUCT_LEMMA", "products of alternatingly gamma-positive polynomials stay so", 100, "samples"
+)
 def _product_lemma(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
@@ -774,7 +816,9 @@ def _product_lemma(samples: int) -> list[dict]:
 # -- the gamma-to-alternating transforms ------------------------------------------
 
 
-@_check("THM31_I", "even-power substitution of gamma-positive input stays alternating", 200, "samples")
+@_check(
+    "THM31_I", "even-power substitution of gamma-positive input stays alternating", 200, "samples"
+)
 def _thm31_i(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
@@ -786,7 +830,9 @@ def _thm31_i(samples: int) -> list[dict]:
     return fails
 
 
-@_check("THM31_II", "alternating vector of f(x^2) equals the eta transform of gamma", 200, "samples")
+@_check(
+    "THM31_II", "alternating vector of f(x^2) equals the eta transform of gamma", 200, "samples"
+)
 def _thm31_ii(samples: int) -> list[dict]:
     fails: list[dict] = []
     rng = _rng()
@@ -873,20 +919,30 @@ def _cyclo_red(bound: int) -> list[dict]:
 # -- lattice-path and diagram oracles -------------------------------------------
 
 
-@_check("CM_COUNT", "2-Motzkin up/blue distribution matches type A Narayana", 12)
+@_check(
+    "CM_COUNT",
+    "2-Motzkin up/blue distribution matches type A Narayana",
+    12,
+    cap=oracles.motzkin_bound,
+)
 def _cm_count(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(min(bound, oracles.motzkin_bound()) + 1):
+    for n in range(bound + 1):
         _eq(oracles.motzkin2_ub_poly(n), fam.narayana("A", n), fails, n=n)
         if oracles.motzkin2_count(n) != catalan(n + 1):
             fails.append(_w("path count is not the Catalan number", n=n))
     return fails
 
 
-@_check("CY_COUNT", "balanced 2-colored Young diagram weights match type B Narayana", 12)
+@_check(
+    "CY_COUNT",
+    "balanced 2-colored Young diagram weights match type B Narayana",
+    12,
+    cap=oracles.young_bound,
+)
 def _cy_count(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(min(bound, oracles.young_bound()) + 1):
+    for n in range(bound + 1):
         _eq(oracles.young2_weight_poly(n, "sqrt_split"), fam.narayana("B", n), fails, n=n)
         if oracles.young2_count(n) != binom(2 * n, n):
             fails.append(_w("diagram count is not the central binomial", n=n))
@@ -895,20 +951,32 @@ def _cy_count(bound: int) -> list[dict]:
     return fails
 
 
-@_check("NARA_231", "descents of 231-avoiding permutations give type A Narayana", 6)
+def _pattern_cap() -> int:
+    """Largest n whose pattern class in S_(n+1) the enumeration cap allows."""
+    return oracles.pattern_bound() - 1
+
+
+@_check(
+    "NARA_231", "descents of 231-avoiding permutations give type A Narayana", 6, cap=_pattern_cap
+)
 def _nara_231(bound: int) -> list[dict]:
     fails: list[dict] = []
-    for n in range(min(bound, oracles.pattern_bound() - 1) + 1):
+    for n in range(bound + 1):
         got = oracles.pattern_class_descent_poly(n + 1, [(2, 3, 1)])
         _eq(got, fam.narayana("A", n), fails, n=n)
     return fails
 
 
-@_check("NARA_B4", "descents of the four-pattern avoidance class give type B Narayana", 6)
+@_check(
+    "NARA_B4",
+    "descents of the four-pattern avoidance class give type B Narayana",
+    6,
+    cap=_pattern_cap,
+)
 def _nara_b4(bound: int) -> list[dict]:
     fails: list[dict] = []
     patterns = [(1, 3, 4, 2), (3, 1, 4, 2), (3, 4, 1, 2), (3, 4, 2, 1)]
-    for n in range(min(bound, oracles.pattern_bound() - 1) + 1):
+    for n in range(bound + 1):
         got = oracles.pattern_class_descent_poly(n + 1, patterns)
         _eq(got, fam.narayana("B", n), fails, n=n)
     return fails
@@ -968,11 +1036,14 @@ def _symdec(samples: int) -> list[dict]:
 
 
 def run_identity(ident: str, bound: int | None = None) -> VerificationReport:
-    """Execute one registered check up to the requested bound."""
+    """Execute one registered check up to the requested bound, clamped to
+    its cap; the report names the bound that was actually run."""
     if ident not in REGISTRY:
         raise UnknownIdentity(ident)
     check = REGISTRY[ident]
     bound = check.default_bound if bound is None else bound
+    if check.cap is not None:
+        bound = min(bound, check.cap())
     fails = check.runner(bound)
     range_run = "fixed" if check.var == "fixed" else f"{check.var} <= {bound}"
     return _report(ident, range_run, fails)

@@ -145,3 +145,34 @@ def test_bad_enumeration_cap_is_a_usage_error(capsys, monkeypatch, cap):
     monkeypatch.setenv("GAMMALAB_MAX_N", cap)
     assert cli.main(["verify", "FOATA"]) == 2
     assert "GAMMALAB_MAX_N" in capsys.readouterr().err
+
+
+def test_clamped_check_reports_the_range_it_ran(capsys, monkeypatch):
+    monkeypatch.setenv("GAMMALAB_MAX_N", "3")
+    code, out = run(capsys, "verify", "FOATA", "--json")
+    assert code == 0
+    assert json.loads(out)[0]["range"] == "n <= 3"
+    code, out = run(capsys, "verify", "NARA_B4", "--json")
+    assert json.loads(out)[0]["range"] == "n <= 2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--basis", "gamma", "--poly", "1.5 0 1.5"],
+        ["expand", "--basis", "gamma", "--poly", "1e3 0 1e3"],
+        ["stability", "--poly", "1 2 1/0"],
+        ["conjecture", "des-exc", "--max-n", "3", "--s", "1.5"],
+    ],
+)
+def test_coefficients_outside_the_wire_format_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gammalab: coefficient ") and err.count("\n") == 1
+
+
+def test_recursion_overflow_is_a_one_line_usage_error(capsys):
+    assert cli.main(["family", "eulerian_a", "--n", "3000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gammalab: ") and captured.err.count("\n") == 1

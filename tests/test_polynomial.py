@@ -11,6 +11,7 @@ from gammalab.polynomial import (
     RatFun,
     UniPoly,
     apply_diff_operator,
+    as_scalar,
     basis_sum,
     f_to_h,
     poly_gcd,
@@ -39,6 +40,43 @@ def test_floats_are_rejected():
         UniPoly([0.5])
     with pytest.raises(TypeError):
         UniPoly([1]).evaluate(0.5)
+    with pytest.raises(TypeError):
+        as_scalar(1.5)
+    with pytest.raises(TypeError):
+        UniPoly([True])
+
+
+def assert_canonical(values):
+    """Every value is an int, or a Fraction whose denominator is not 1."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_division_paths_keep_integer_inputs_exact():
+    m = UniPoly([1, 0, 1]).monic()
+    assert m.coeffs == (1, 0, 1)
+    assert_canonical(m.coeffs)
+    m = UniPoly([2, 4]).monic()
+    assert m.coeffs == (Fraction(1, 2), 1)
+    assert_canonical(m.coeffs)
+    q, r = divmod(UniPoly([1, 0, 1]), UniPoly([1, 2]))
+    assert q == UniPoly(["-1/4", "1/2"]) and r == UniPoly(["5/4"])
+    assert_canonical(q.coeffs + r.coeffs)
+    q, r = divmod(UniPoly([2, 3, 1]), UniPoly([1, 1]))
+    assert q.coeffs == (2, 1) and r.is_zero()
+    assert_canonical(q.coeffs)
+    ratio = RatFun(UniPoly([2, 4]), UniPoly([4]))
+    assert ratio.num.coeffs == (Fraction(1, 2), 1) and ratio.den.coeffs == (1,)
+    assert_canonical(ratio.num.coeffs + ratio.den.coeffs)
+
+
+def test_integral_fractions_become_ints():
+    f = UniPoly([Fraction(4, 2), Fraction(1, 3), "6/3", 0])
+    assert f.coeffs == (2, Fraction(1, 3), 2)
+    assert_canonical(f.coeffs)
+    assert_canonical((3 * f).coeffs)
+    assert type(UniPoly([1]).coefficient(5)) is int
+    assert type(UniPoly.zero().leading_coefficient()) is int
 
 
 def test_ring_op_examples():
@@ -202,3 +240,98 @@ def test_operator_composition(m, k):
 @given(small_polys)
 def test_text_round_trip(f):
     assert UniPoly.from_text(f.to_text()) == f
+
+
+# -- differential test against an all-Fraction reference ----------------------
+#
+# Plain lists of Fraction, low degree first, no trailing zeros: the reference
+# that UniPoly's int-or-Fraction coefficients must agree with.
+
+
+def ref(coeffs):
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_sub(a, b):
+    return ref_add(a, [-c for c in b])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    r = list(a)
+    while len(r) >= len(b):
+        factor = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = factor
+        for i, y in enumerate(b):
+            r[shift + i] -= factor * y
+        r = ref(r)
+    return ref(q), r
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_evaluate(a, v):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * v + c
+    return acc
+
+
+def ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, b), [c])
+    return acc
+
+
+int_coeffs = hs.lists(hs.integers(-40, 40), max_size=6)
+rat_coeffs = hs.lists(scalars, max_size=6)
+mixed_coeffs = hs.lists(hs.one_of(hs.integers(-40, 40), scalars), max_size=6)
+coeff_lists = hs.one_of(int_coeffs, rat_coeffs, mixed_coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, scalars)
+def test_matches_all_fraction_reference(a, b, v):
+    f, g = UniPoly(a), UniPoly(b)
+    fa, fb = ref(a), ref(b)
+    pairs = [
+        (f, fa),
+        (f + g, ref_add(fa, fb)),
+        (f - g, ref_sub(fa, fb)),
+        (f * g, ref_mul(fa, fb)),
+        (f.compose(g), ref_compose(fa, fb)),
+    ]
+    if fb:
+        pairs += list(zip(divmod(f, g), ref_divmod(fa, fb)))
+    if fa or fb:
+        pairs.append((poly_gcd(f, g), ref_gcd(fa, fb)))
+    for got, want in pairs:
+        assert list(got.coeffs) == want
+        assert_canonical(got.coeffs)
+    value = f.evaluate(v)
+    assert value == ref_evaluate(fa, v)
+    assert not isinstance(value, float)

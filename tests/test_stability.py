@@ -100,6 +100,26 @@ def test_routh_examples():
     assert st.routh_stable(UniPoly([2])) == "stable"
 
 
+def assert_canonical(values):
+    """Every value is an int, or a Fraction whose denominator is not 1."""
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_division_paths_leak_no_float():
+    bound = st.cauchy_root_bound(UniPoly([3, 1, 2]))
+    assert bound == Fraction(5, 2)
+    assert_canonical([bound, st.cauchy_root_bound(UniPoly([2, 0, 1]))])
+    # Routh rows 1 8 12 5 | 4 10 6 | 11/2 21/2 5 | ...: a zero pivot appears
+    # only in exact arithmetic; with float rows the verdict reads "stable".
+    assert st.routh_stable(UniPoly([5, 6, 12, 10, 8, 4, 1])) == "indeterminate"
+    iso = st.isolate_real_roots(UniPoly([-1, 6, -11, 6]))  # (x-1)(2x-1)(3x-1)
+    assert iso.distinct() == 3
+    assert_canonical([end for lo, hi, _ in iso.intervals for end in (lo, hi)])
+    for (lo, hi, mult), root in zip(iso.intervals, (Fraction(1, 3), Fraction(1, 2), 1)):
+        assert lo < root <= hi and mult == 1
+
+
 def test_mn_combination_invariants():
     square = UniPoly([1, 2, 1])
     for n in range(1, 9):
