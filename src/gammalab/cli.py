@@ -6,8 +6,9 @@ wire format ("c0 c1 c2 ...", rationals as "a" or "a/b").  With --json
 every command prints canonical JSON (sorted keys, no whitespace
 variance), so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 a check failed, 2 usage error (including a
-malformed coefficient and an input too large for the recursion limit).
+Exit codes: 0 success (an "empty" check included), 1 a check failed,
+2 usage error (including a malformed coefficient, a family index above
+``families.FAMILY_BOUND`` and an input too large for the recursion limit).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import families as fam
 from . import oracles
@@ -111,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_family(args) -> int:
-    poly = fam.generate(args.name, args.n)
-    if isinstance(poly, BiPoly):
-        _emit(poly.to_json(), args.json, str(poly))
-    else:
-        _emit(poly.to_json(), args.json, poly.to_text())
+def _emit_poly(poly: UniPoly | BiPoly, as_json: bool) -> int:
+    _emit(poly.to_json(), as_json, str(poly))
     return EXIT_OK
+
+
+def _cmd_family(args) -> int:
+    return _emit_poly(fam.generate(args.name, args.n), args.json)
 
 
 def _cmd_expand(args) -> int:
@@ -126,20 +128,13 @@ def _cmd_expand(args) -> int:
     if center is None:
         center = f.degree if not f.is_zero() else 0
     basis = args.basis
-    if basis == "gamma":
-        exp = gamma_expand(f, center)
-        _emit(exp.to_json(), args.json, f"n={center} sign=+ coeffs: " + " ".join(map(str, exp.coeffs)))
-    elif basis == "alt-gamma":
-        exp = alt_gamma_expand(f, center)
-        _emit(exp.to_json(), args.json, f"n={center} sign=- coeffs: " + " ".join(map(str, exp.coeffs)))
-    elif basis in ("binomial-plus", "binomial-minus"):
-        sign = "+" if basis.endswith("plus") else "-"
-        exp = binomial_basis_expand(f, center, sign)
-        _emit(
-            exp.to_json(),
-            args.json,
-            f"n={center} sign={sign} coeffs: " + " ".join(map(str, exp.coeffs)),
-        )
+    if basis in ("gamma", "alt-gamma", "binomial-plus", "binomial-minus"):
+        if basis.startswith("binomial"):
+            exp = binomial_basis_expand(f, center, "+" if basis.endswith("plus") else "-")
+        else:
+            exp = (gamma_expand if basis == "gamma" else alt_gamma_expand)(f, center)
+        human = f"n={center} sign={exp.sign} coeffs: " + " ".join(map(str, exp.coeffs))
+        _emit(exp.to_json(), args.json, human)
     elif basis == "semi-gamma":
         dec = semi_gamma_decompose(f)
         payload = {
@@ -184,17 +179,10 @@ def _cmd_expand(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.oracle_command == "stats":
-        poly = oracles.stat_polynomial(args.n, args.weight)
-        if isinstance(poly, BiPoly):
-            _emit(poly.to_json(), args.json, str(poly))
-        else:
-            _emit(poly.to_json(), args.json, poly.to_text())
-        return EXIT_OK
+        return _emit_poly(oracles.stat_polynomial(args.n, args.weight), args.json)
     perm = tuple(int(tok) for tok in args.perm.split(","))
     orbit = sorted(oracles.mfs_orbit(perm))
-    des_poly = UniPoly.zero()
-    for sigma in orbit:
-        des_poly = des_poly + UniPoly.monomial(oracles.perm_stats(sigma).des)
+    des_poly = UniPoly.from_counts(Counter(oracles.perm_stats(sigma).des for sigma in orbit))
     payload = {
         "orbit": [list(sigma) for sigma in orbit],
         "des_poly": des_poly.to_json(),

@@ -15,8 +15,9 @@ Sign conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .polynomial import (
     ONE_MINUS_X,
@@ -170,16 +171,7 @@ class PositivityProfile:
     alt_bi_gamma_positive: str
 
     def to_json(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "unimodal": self.unimodal,
-            "gamma_positive": self.gamma_positive,
-            "alt_gamma_positive": self.alt_gamma_positive,
-            "semi_gamma_positive": self.semi_gamma_positive,
-            "alt_semi_gamma_positive": self.alt_semi_gamma_positive,
-            "bi_gamma_positive": self.bi_gamma_positive,
-            "alt_bi_gamma_positive": self.alt_bi_gamma_positive,
-        }
+        return asdict(self)
 
 
 def _check_frame(f: UniPoly, n: int) -> None:
@@ -223,17 +215,23 @@ def alt_gamma_expand(f: UniPoly, n: int) -> GammaExpansion:
     return GammaExpansion(n, tuple(c * (-1) ** k for k, c in enumerate(plus)), MINUS)
 
 
-def _peel_center(f: UniPoly, n: int) -> tuple[Scalar, ...]:
+def _peel(f: UniPoly, power: Callable[[int], UniPoly], exponents: range) -> tuple[Scalar, ...]:
+    """Coefficients of f in the triangular basis x^k power(m_k), m_k the k-th
+    exponent: read the lowest coefficient of the remainder, subtract, repeat."""
     rem = f
     out = []
-    for k in range(n // 2 + 1):
+    for k, m in enumerate(exponents):
         c = rem.coefficient(k)
         out.append(c)
         if c:
-            rem = rem - UniPoly.monomial(k, c) * _one_plus_x_pow(n - 2 * k)
+            rem = rem - UniPoly.monomial(k, c) * power(m)
     if not rem.is_zero():
-        raise ArithmeticError("peeling a symmetric polynomial must terminate at zero")
+        raise ArithmeticError("peeling in a triangular basis must terminate at zero")
     return tuple(out)
+
+
+def _peel_center(f: UniPoly, n: int) -> tuple[Scalar, ...]:
+    return _peel(f, _one_plus_x_pow, range(n, -1, -2))
 
 
 def binomial_basis_expand(f: UniPoly, n: int, sign: str = PLUS) -> BinomialExpansion:
@@ -241,41 +239,29 @@ def binomial_basis_expand(f: UniPoly, n: int, sign: str = PLUS) -> BinomialExpan
     _check_frame(f, n)
     if sign not in (PLUS, MINUS):
         raise ValueError("sign must be '+' or '-'")
-    pow_ = _one_plus_x_pow if sign == PLUS else _one_minus_x_pow
-    rem = f
-    out = []
-    for k in range(n + 1):
-        c = rem.coefficient(k)
-        out.append(c)
-        if c:
-            rem = rem - UniPoly.monomial(k, c) * pow_(n - k)
-    if not rem.is_zero():
-        raise ArithmeticError("peeling in a triangular binomial basis must terminate at zero")
-    return BinomialExpansion(n, tuple(out), sign)
+    power = _one_plus_x_pow if sign == PLUS else _one_minus_x_pow
+    return BinomialExpansion(n, _peel(f, power, range(n, -1, -1)), sign)
+
+
+def _spread(gamma: GammaExpansion, r: int, name: str) -> tuple[Scalar, ...]:
+    """sum_i C(n-2i, k-2i) r^(k-2i) gamma_i for k = 0..n."""
+    if gamma.sign != PLUS:
+        raise ValueError(f"{name} is defined from a plus-sign gamma vector")
+    n, g = gamma.center_degree, gamma.coeffs
+    return tuple(
+        sum(binom(n - 2 * i, k - 2 * i) * r ** (k - 2 * i) * g[i] for i in range(k // 2 + 1))
+        for k in range(n + 1)
+    )
 
 
 def eta_from_gamma(gamma: GammaExpansion) -> tuple[Scalar, ...]:
     """eta_k = sum_i C(n-2i, k-2i) 2^(k-2i) gamma_i, the squared-variable vector."""
-    if gamma.sign != PLUS:
-        raise ValueError("eta is defined from a plus-sign gamma vector")
-    n = gamma.center_degree
-    g = gamma.coeffs
-    return tuple(
-        sum(binom(n - 2 * i, k - 2 * i) * 2 ** (k - 2 * i) * g[i] for i in range(k // 2 + 1))
-        for k in range(n + 1)
-    )
+    return _spread(gamma, 2, "eta")
 
 
 def xi_from_gamma(gamma: GammaExpansion) -> tuple[Scalar, ...]:
     """xi_k = sum_i C(n-2i, k-2i) gamma_i."""
-    if gamma.sign != PLUS:
-        raise ValueError("xi is defined from a plus-sign gamma vector")
-    n = gamma.center_degree
-    g = gamma.coeffs
-    return tuple(
-        sum(binom(n - 2 * i, k - 2 * i) * g[i] for i in range(k // 2 + 1))
-        for k in range(n + 1)
-    )
+    return _spread(gamma, 1, "xi")
 
 
 def hermite_biehler_split(f: UniPoly) -> tuple[UniPoly, UniPoly]:

@@ -13,23 +13,26 @@ the package:
   pi(i) > i.
 
 Infinity is represented by n+1, which exceeds every letter of the
-permutation, so all comparisons stay in exact integer arithmetic.
+permutation, so all comparisons stay in exact integer arithmetic.  One
+scan, ``_scan``, holds these conventions; ``perm_stats`` validates its
+input and calls it.
 
 Enumeration is streamed from ``itertools`` iterators and aggregated into
-order-independent counters; the per-``n`` joint distributions are cached
-because every identity check reuses them.
+order-independent counters; the per-``n`` joint distribution of the full
+``StatRecord`` is cached because every identity check reuses it.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polynomial import BiPoly, UniPoly
+from .polynomial import BiPoly, UniPoly, basis_sum
+
+_ONE_PLUS_X = UniPoly([1, 1])
 
 DEFAULT_SN_BOUND = 9
 STIRLING_BOUND = 8
@@ -53,25 +56,12 @@ def _env_capped(default: int) -> int:
     return min(default, int(cap))
 
 
-def sn_bound() -> int:
-    """Symmetric-group enumeration bound, optionally capped by environment."""
-    return _env_capped(DEFAULT_SN_BOUND)
-
-
-def stirling_bound() -> int:
-    return _env_capped(STIRLING_BOUND)
-
-
-def motzkin_bound() -> int:
-    return _env_capped(MOTZKIN_BOUND)
-
-
-def young_bound() -> int:
-    return _env_capped(YOUNG_BOUND)
-
-
-def pattern_bound() -> int:
-    return _env_capped(PATTERN_BOUND)
+# Enumeration bounds, each optionally capped by the environment.
+sn_bound = partial(_env_capped, DEFAULT_SN_BOUND)
+stirling_bound = partial(_env_capped, STIRLING_BOUND)
+motzkin_bound = partial(_env_capped, MOTZKIN_BOUND)
+young_bound = partial(_env_capped, YOUNG_BOUND)
+pattern_bound = partial(_env_capped, PATTERN_BOUND)
 
 
 def _check_bound(n: int, bound: int, what: str) -> None:
@@ -98,78 +88,58 @@ def check_perm(pi: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-def perm_stats(pi: Sequence[int]) -> StatRecord:
-    """All statistics of one permutation under the boundary conventions above."""
-    word = check_perm(pi)
+def _scan(word: tuple[int, ...]) -> StatRecord:
+    """All statistics of a word of distinct letters below len(word) + 1, one
+    pass under the boundary conventions above; the caller validates."""
     n = len(word)
     inf = n + 1
-    des = asc = pk = val = ddes = dasc = lpk = maj = exc = 0
-    for i in range(1, n + 1):
-        cur = word[i - 1]
-        prev = word[i - 2] if i >= 2 else inf
-        nxt = word[i] if i < n else inf
+    right = word[1:] + (inf,)
+    des = maj = pk = val = ddes = dasc = exc = 0
+    prev = inf
+    for i, (cur, nxt) in enumerate(zip(word, right), 1):
         if cur > nxt:
             des += 1
-            maj += i  # i = n impossible here: nxt is inf
-        else:
-            asc += 1
-        if prev < cur > nxt:
-            pk += 1
-        if prev > cur < nxt:
-            val += 1
-        if prev > cur > nxt:
-            ddes += 1
-        if prev < cur < nxt:
+            maj += i
+            if prev > cur:
+                ddes += 1
+            else:
+                pk += 1
+        elif prev < cur:
             dasc += 1
-        if i <= n - 1:
-            prev0 = word[i - 2] if i >= 2 else 0
-            if prev0 < cur > word[i]:
-                lpk += 1
-            if cur > i:
-                exc += 1
-    return StatRecord(des, asc, pk, val, ddes, dasc, lpk, maj, exc)
+        else:
+            val += 1
+        if cur > i:
+            exc += 1
+        prev = cur
+    # a left peak is a peak, or a descent at position 1 (left letter 0, not inf)
+    lpk = pk + (n > 0 and word[0] > right[0])
+    return StatRecord(des, n - des, pk, val, ddes, dasc, lpk, maj, exc)
+
+
+def perm_stats(pi: Sequence[int]) -> StatRecord:
+    """All statistics of one permutation under the boundary conventions above."""
+    return _scan(check_perm(pi))
 
 
 @lru_cache(maxsize=None)
 def _joint_counts(n: int) -> Counter:
-    """Counter over (des, pk, lpk, dasc, ddes, exc) for the whole of S_n."""
-    counts: Counter = Counter()
-    inf = n + 1
-    for word in permutations(range(1, n + 1)):
-        des = pk = lpk = dasc = ddes = exc = 0
-        for i in range(1, n + 1):
-            cur = word[i - 1]
-            prev = word[i - 2] if i >= 2 else inf
-            nxt = word[i] if i < n else inf
-            if cur > nxt:
-                des += 1
-            if prev < cur < nxt:
-                dasc += 1
-            elif prev > cur > nxt:
-                ddes += 1
-            elif prev < cur > nxt:
-                pk += 1
-            if i <= n - 1:
-                prev0 = word[i - 2] if i >= 2 else 0
-                if prev0 < cur > word[i]:
-                    lpk += 1
-                if cur > i:
-                    exc += 1
-        counts[(des, pk, lpk, dasc, ddes, exc)] += 1
-    return counts
+    """Counter of the full ``StatRecord`` over the whole of S_n."""
+    return Counter(map(_scan, permutations(range(1, n + 1))))
 
 
-STAT_WEIGHTS = (
-    "des",
-    "pk",
-    "lpk",
-    "pk+des",
-    "n-1-dasc",
-    "beta",
-    "2des",
-    "gamma",
-    "des,exc",
-)
+# weight -> exponent of x contributed by one permutation (None: no term);
+# "beta" tallies lpk and is expanded in stat_polynomial
+_EXPONENTS = {
+    "des": lambda s, n: s.des,
+    "pk": lambda s, n: s.pk,
+    "lpk": lambda s, n: s.lpk,
+    "pk+des": lambda s, n: s.pk + s.des,
+    "n-1-dasc": lambda s, n: n - 1 - s.dasc,
+    "beta": lambda s, n: s.lpk,
+    "2des": lambda s, n: 2 * s.des,
+    "gamma": lambda s, n: s.pk if s.ddes == 0 else None,
+}
+STAT_WEIGHTS = (*_EXPONENTS, "des,exc")
 
 
 def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | BiPoly:
@@ -187,44 +157,19 @@ def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | 
         raise ValueError("statistics need n >= 1")
     counts = _joint_counts(n)
     if weight == "des,exc":
-        t_rows: dict[int, dict[int, int]] = {}
-        for (des, _pk, _lpk, _dasc, _ddes, exc), c in counts.items():
-            t_rows.setdefault(exc, {})
-            t_rows[exc][des] = t_rows[exc].get(des, 0) + c
-        t_deg = max(t_rows)
-        rows = []
-        for j in range(t_deg + 1):
-            row = t_rows.get(j, {})
-            s_deg = max(row) if row else 0
-            rows.append(UniPoly([row.get(i, 0) for i in range(s_deg + 1)]))
-        return BiPoly(rows)
+        t_rows: dict[int, Counter] = {}
+        for s, c in counts.items():
+            t_rows.setdefault(s.exc, Counter())[s.des] += c
+        return BiPoly([UniPoly.from_counts(t_rows.get(j, {})) for j in range(max(t_rows) + 1)])
+    exponent = _EXPONENTS[weight]
+    tally: Counter = Counter()
+    for s, c in counts.items():
+        k = exponent(s, n)
+        if k is not None:
+            tally[k] += c
     if weight == "beta":
-        acc = UniPoly.zero()
-        one_plus_x = UniPoly([1, 1])
-        for (_des, _pk, lpk, _dasc, _ddes, _exc), c in counts.items():
-            acc = acc + c * 4**lpk * UniPoly.monomial(2 * lpk) * one_plus_x ** (n - 2 * lpk)
-        return acc
-    coeffs: Counter = Counter()
-    for (des, pk, lpk, dasc, ddes, _exc), c in counts.items():
-        if weight == "des":
-            k = des
-        elif weight == "pk":
-            k = pk
-        elif weight == "lpk":
-            k = lpk
-        elif weight == "pk+des":
-            k = pk + des
-        elif weight == "n-1-dasc":
-            k = n - 1 - dasc
-        elif weight == "2des":
-            k = 2 * des
-        else:  # gamma count
-            if ddes != 0:
-                continue
-            k = pk
-        coeffs[k] += c
-    top = max(coeffs) if coeffs else 0
-    return UniPoly([coeffs.get(i, 0) for i in range(top + 1)])
+        return basis_sum(_ONE_PLUS_X, ((c * 4**k, 2 * k, n - 2 * k) for k, c in tally.items()))
+    return UniPoly.from_counts(tally)
 
 
 def gamma_count_vector(n: int, bound: int | None = None) -> tuple[int, ...]:
@@ -353,11 +298,7 @@ def stirling_stats(w: Sequence[int]) -> tuple[int, int, int]:
 @lru_cache(maxsize=None)
 def stirling_fap_poly(n: int) -> UniPoly:
     """Distribution of ap + lap over all Stirling permutations of order n."""
-    counts: Counter = Counter()
-    for w in stirling_permutations(n):
-        counts[stirling_stats(w)[2]] += 1
-    top = max(counts) if counts else 0
-    return UniPoly([counts.get(i, 0) for i in range(top + 1)])
+    return UniPoly.from_counts(Counter(stirling_stats(w)[2] for w in stirling_permutations(n)))
 
 
 # -- 2-Motzkin paths ---------------------------------------------------------
@@ -424,11 +365,7 @@ def young2_weight_poly(n: int, weighting: str, bound: int | None = None) -> UniP
     counts = _young2_counts(n)
     if weighting == "sqrt_split":
         return UniPoly(counts)
-    one_plus_x = UniPoly([1, 1])
-    acc = UniPoly.zero()
-    for k, c in enumerate(counts):
-        acc = acc + c * UniPoly.monomial(2 * k) * one_plus_x ** (2 * n - 2 * k)
-    return acc
+    return basis_sum(_ONE_PLUS_X, ((c, 2 * k, 2 * n - 2 * k) for k, c in enumerate(counts)))
 
 
 def young2_count(n: int) -> int:
@@ -463,14 +400,13 @@ def pattern_class_descent_poly(
     pats = [check_perm(p) for p in patterns]
     if any(len(p) > 4 for p in pats):
         raise ValueError("patterns longer than 4 are not supported")
-    counts: Counter = Counter()
-    for word in permutations(range(1, n + 1)):
-        if any(contains_pattern(word, p) for p in pats):
-            continue
-        des = sum(1 for i in range(n - 1) if word[i] > word[i + 1])
-        counts[des] += 1
-    top = max(counts) if counts else 0
-    return UniPoly([counts.get(i, 0) for i in range(top + 1)])
+    return UniPoly.from_counts(
+        Counter(
+            _scan(word).des
+            for word in permutations(range(1, n + 1))
+            if not any(contains_pattern(word, p) for p in pats)
+        )
+    )
 
 
 # -- signed permutations (used only as a cross-check oracle) -----------------
@@ -484,9 +420,6 @@ def signed_descent_poly(n: int) -> UniPoly:
     counts: Counter = Counter()
     for word in permutations(range(1, n + 1)):
         for mask in range(1 << n):
-            signed = [(-v if mask >> i & 1 else v) for i, v in enumerate(word)]
-            full = [0] + signed
-            des = sum(1 for i in range(n) if full[i] > full[i + 1])
-            counts[des] += 1
-    top = max(counts) if counts else 0
-    return UniPoly([counts.get(i, 0) for i in range(top + 1)])
+            signed = tuple(-v if mask >> i & 1 else v for i, v in enumerate(word))
+            counts[_scan((0,) + signed).des] += 1
+    return UniPoly.from_counts(counts)

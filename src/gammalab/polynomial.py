@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 ScalarLike = Union[Fraction, int, str]
@@ -130,6 +130,11 @@ class UniPoly:
     @classmethod
     def constant(cls, c: ScalarLike) -> UniPoly:
         return cls((c,))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[int, ScalarLike]) -> UniPoly:
+        """Sum of c * x**k over the items (k, c) of ``counts``."""
+        return cls([counts.get(k, 0) for k in range(max(counts, default=-1) + 1)])
 
     @classmethod
     def from_text(cls, text: str) -> UniPoly:
@@ -282,11 +287,6 @@ class UniPoly:
             raise NotDivisible(f"{self!r} is not divisible by {other!r}")
         return q
 
-    def divides(self, other: UniPoly) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return divmod(other, self)[1].is_zero()
-
     def monic(self) -> UniPoly:
         if self.is_zero():
             return self
@@ -406,10 +406,6 @@ class RatFun:
         object.__setattr__(self, "num", num * inverse)
         object.__setattr__(self, "den", den * inverse)
 
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> RatFun:
-        return cls(p, UniPoly.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -495,10 +491,6 @@ class BiPoly:
         if not isinstance(coeff, UniPoly):
             coeff = UniPoly((as_scalar(coeff),))
         return cls((UniPoly.zero(),) * k + (coeff,))
-
-    @property
-    def t_degree(self) -> int | None:
-        return len(self.t_coeffs) - 1 if self.t_coeffs else None
 
     def is_zero(self) -> bool:
         return not self.t_coeffs

@@ -177,27 +177,25 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return RootIsolation(())
-    factors = yun_decomposition(f)
-    items = []
-    for lo, hi in _isolate_squarefree(squarefree_part(f)):
-        mult = sum(
-            i for g, i in factors if g.degree and sturm_real_root_count(g, lo, hi) == 1
-        )
-        items.append((lo, hi, mult))
-    return RootIsolation(tuple(items))
+    intervals = _isolate_squarefree(squarefree_part(f))
+    mults = _multiplicities(f, intervals)
+    return RootIsolation(tuple((lo, hi, m) for (lo, hi), m in zip(intervals, mults)))
+
+
+def _multiplicities(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
+    """Multiplicity of the root of p in each isolating interval (0 if none)."""
+    factors = yun_decomposition(p)
+    return [
+        sum(i for g, i in factors if g.degree and sturm_real_root_count(g, lo, hi) == 1)
+        for lo, hi in intervals
+    ]
 
 
 def _root_ordinals(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
     """Roots of p with multiplicity, encoded as ordinals of the shared
     isolating intervals, ascending.  Equal ordinals mean equal roots."""
-    factors = yun_decomposition(p)
-    out = []
-    for idx, (lo, hi) in enumerate(intervals):
-        mult = sum(
-            i for g, i in factors if g.degree and sturm_real_root_count(g, lo, hi) == 1
-        )
-        out.extend([idx] * mult)
-    return out
+    mults = _multiplicities(p, intervals)
+    return [idx for idx, m in enumerate(mults) for _ in range(m)]
 
 
 def interlacing_relation(p: UniPoly, q: UniPoly) -> str:

@@ -4,6 +4,7 @@ Each test prints one pass/fail line; run with ``pytest -s`` to see them
 as the suite executes.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -13,9 +14,11 @@ from gammalab import families as fam
 from gammalab import oracles
 from gammalab import stability as st
 from gammalab import verify as v
+from gammalab.cli import canonical_json
 from gammalab.polynomial import BiPoly, UniPoly
 
 ONE_PLUS_X = UniPoly([1, 1])
+VERIFY_ALL_SHA256 = "cb540ad7cf2d20c083a969b323040a91342a5e4fcdc1249511164de3960d90a0"
 
 
 def _report(name: str, problems: list) -> None:
@@ -152,6 +155,10 @@ def test_criterion_2_identity_suite():
     problems = [
         f"{r.ident} [{r.range_run}]: {r.witness}" for r in reports if r.status != "pass"
     ]
+    # the ROADMAP byte-stability gate: `gammalab verify all --json` is unchanged
+    payload = (canonical_json([r.to_json() for r in reports]) + "\n").encode()
+    if hashlib.sha256(payload).hexdigest() != VERIFY_ALL_SHA256:
+        problems.append("verify all --json is no longer byte-identical to the baseline")
     _report(f"criterion 2: identity suite ({len(reports)} checks, default bounds)", problems)
 
 
@@ -292,9 +299,19 @@ def test_criterion_7_conjecture_checkers():
     _report("criterion 7: conjecture checkers", problems)
 
 
+def _failing_with_witness(idents, bound, problems) -> list:
+    failing = []
+    for ident in idents:
+        report = v.run_identity(ident, bound)
+        if report.status == "fail":
+            if not report.witness or not report.witness.get("params"):
+                problems.append(f"{ident} failed without a witness")
+            failing.append(ident)
+    return failing
+
+
 def test_criterion_8_negative_control(monkeypatch):
     problems = []
-    fam.eulerian_a(10)  # keep the memo table clean of corrupted values
     original = fam.eulerian_a
 
     def corrupted(n):
@@ -304,13 +321,25 @@ def test_criterion_8_negative_control(monkeypatch):
         return poly
 
     monkeypatch.setattr(fam, "eulerian_a", corrupted)
-    failing = []
-    for ident in ("ANXBNX", "FOATA", "STEMBRIDGE", "SPECIALS", "OPID_A", "THM51_II"):
-        report = v.run_identity(ident, 5)
-        if report.status == "fail":
-            if not report.witness or not report.witness.get("params"):
-                problems.append(f"{ident} failed without a witness")
-            failing.append(ident)
+    checks = ("ANXBNX", "FOATA", "STEMBRIDGE", "SPECIALS", "OPID_A", "THM51_II")
+    failing = _failing_with_witness(checks, 5, problems)
     if len(failing) < 3:
-        problems.append(f"only {failing} failed")
-    _report("criterion 8: negative control (corrupted family)", problems)
+        problems.append(f"only {failing} failed with a corrupted family")
+    monkeypatch.undo()
+
+    # The oracle side: every permutation gains a descent in the one scan.
+    caches = (oracles._joint_counts, oracles.mfs_orbit_partition, v._orbit_table)
+    for cache in caches:
+        cache.cache_clear()
+    scan = oracles._scan
+    monkeypatch.setattr(oracles, "_scan", lambda word: scan(word)._replace(des=scan(word).des + 1))
+    try:
+        checks = ("EULERIAN_ORACLE", "ALPHA_ORACLE", "MFS_ORBIT", "MFS_ORBIT_SQ", "NARA_231")
+        failing = _failing_with_witness(checks, 5, problems)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    if len(failing) < 3:
+        problems.append(f"only {failing} failed with a corrupted oracle")
+    _report("criterion 8: negative control (corrupted family and oracle)", problems)

@@ -175,4 +175,38 @@ def test_recursion_overflow_is_a_one_line_usage_error(capsys):
     assert cli.main(["family", "eulerian_a", "--n", "3000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    bound = f"exceeds the bound {fam.FAMILY_BOUND}"
     assert captured.err.startswith("gammalab: ") and captured.err.count("\n") == 1
+    assert bound in captured.err
+
+
+def test_recursion_error_is_a_one_line_usage_error(capsys, monkeypatch):
+    def overflow(family, n):
+        raise RecursionError
+
+    monkeypatch.setattr(fam, "generate", overflow)
+    assert cli.main(["family", "eulerian_a", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "gammalab: input too large (recursion limit exceeded)\n"
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ("0", ["verify", "NARA_B4"]),
+        (None, ["verify", "FOATA", "--bound", "0"]),
+        (None, ["verify", "FOATA", "--bound", "-5"]),
+        (None, ["verify", "THM31_I", "--bound", "0"]),
+    ],
+)
+def test_a_run_that_checks_no_case_is_empty_not_pass(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("GAMMALAB_MAX_N", env)
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "empty"
+
+
+def test_a_bound_with_one_case_still_passes(capsys):
+    for argv in (["ANXBNX", "--bound", "0"], ["FOATA", "--bound", "1"], ["ND_ALT", "--bound", "2"]):
+        code, out = run(capsys, "verify", *argv, "--json")
+        assert code == 0 and json.loads(out)[0]["status"] == "pass"

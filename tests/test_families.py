@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,16 +66,31 @@ def test_l_polynomials():
         assert fam.lhat_poly(n).evaluate(1) == binom(2 * n, n)
 
 
-def test_l_recurrence_integrality_raises(monkeypatch):
+def test_l_recurrence_integrality_raises():
     # A wrong predecessor makes the division by n inexact; the recurrence
-    # must refuse it with an exception that survives python -O.
-    l_step, lhat_step = fam.l_poly.__wrapped__, fam.lhat_poly.__wrapped__
-    monkeypatch.setattr(fam, "l_poly", lambda n: UniPoly([1, 1]))
-    monkeypatch.setattr(fam, "lhat_poly", lambda n: UniPoly([1, 1]))
+    # step must refuse it with an exception that survives python -O.
     with pytest.raises(ArithmeticError):
-        l_step(2)
+        fam.l_poly.__wrapped__(2, UniPoly([1, 1]))
     with pytest.raises(ArithmeticError):
-        lhat_step(3)
+        fam.lhat_poly.__wrapped__(3, UniPoly([1, 1]))
+
+
+def test_recurrences_fill_bottom_up_without_recursing():
+    # A recursion limit of 60 is far below n = 300, so any recursive
+    # memoised recurrence raises RecursionError here.
+    code = (
+        "import sys; from gammalab import families as f; sys.setrecursionlimit(60); "
+        "f.eulerian_a(300); f.q_poly(300); f.ab_polys('alpha', 300)"
+    )
+    src = os.path.dirname(os.path.dirname(fam.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_generate_refuses_an_index_beyond_the_family_bound():
+    assert fam.generate("narayana_b", fam.FAMILY_BOUND) == fam.narayana("B", fam.FAMILY_BOUND)
+    with pytest.raises(ValueError, match=f"bound {fam.FAMILY_BOUND}"):
+        fam.generate("narayana_b", fam.FAMILY_BOUND + 1)
 
 
 def test_ab_family_values():

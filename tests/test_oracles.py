@@ -33,15 +33,38 @@ def test_perm_stats_validates():
         o.perm_stats((1, 3))
 
 
+def _reference_stats(word):
+    """The statistics straight from their definitions on a sentinel-padded
+    word: pi(0) = pi(n+1) = inf, and pi(0) = 0 for left peaks."""
+    n = len(word)
+    inf = n + 1
+    p = (inf,) + tuple(word) + (inf,)
+    z = (0,) + tuple(word)
+    idx = range(1, n + 1)
+    return o.StatRecord(
+        des=sum(p[i] > p[i + 1] for i in idx),
+        asc=sum(p[i] < p[i + 1] for i in idx),
+        pk=sum(p[i - 1] < p[i] > p[i + 1] for i in idx),
+        val=sum(p[i - 1] > p[i] < p[i + 1] for i in idx),
+        ddes=sum(p[i - 1] > p[i] > p[i + 1] for i in idx),
+        dasc=sum(p[i - 1] < p[i] < p[i + 1] for i in idx),
+        lpk=sum(z[i - 1] < z[i] > z[i + 1] for i in range(1, n)),
+        maj=sum(i for i in range(1, n) if p[i] > p[i + 1]),
+        exc=sum(p[i] > i for i in range(1, n)),
+    )
+
+
 def test_joint_counts_agree_with_perm_stats():
-    n = 6
+    # Both sides are checked against the definitions above, not each other.
     from collections import Counter
 
-    direct: Counter = Counter()
-    for word in permutations(range(1, n + 1)):
-        s = o.perm_stats(word)
-        direct[(s.des, s.pk, s.lpk, s.dasc, s.ddes, s.exc)] += 1
-    assert direct == o._joint_counts(n)
+    for n in range(1, 7):
+        reference = Counter()
+        for word in permutations(range(1, n + 1)):
+            stats = _reference_stats(word)
+            assert o.perm_stats(word) == stats, word
+            reference[stats] += 1
+        assert o._joint_counts(n) == reference
 
 
 def test_stat_polynomial_examples():
