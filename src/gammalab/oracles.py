@@ -184,7 +184,11 @@ def gamma_count_vector(n: int, bound: int | None = None) -> tuple[int, ...]:
 def mfs_phi(pi: Sequence[int], x: int) -> tuple[int, ...]:
     """Toggle the letter x: double descents hop right, double ascents hop
     left, peaks and valleys stay put.  An involution for every x."""
-    word = check_perm(pi)
+    return _hop(check_perm(pi), x)
+
+
+def _hop(word: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """``mfs_phi`` on a validated permutation."""
     n = len(word)
     inf = n + 1
     i = word.index(x) + 1
@@ -220,7 +224,7 @@ def mfs_orbit(pi: Sequence[int], bound: int | None = None) -> frozenset[tuple[in
     while stack:
         cur = stack.pop()
         for x in range(1, n + 1):
-            nxt = mfs_phi(cur, x)
+            nxt = _hop(cur, x)
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -240,6 +244,31 @@ def mfs_orbit_partition(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
         seen.update(orbit)
         orbits.append(orbit)
     return tuple(orbits)
+
+
+def _canonical(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The one member of the orbit of ``word`` without double ascents: every
+    double ascent of ``word`` hops left.  Toggles of distinct letters commute
+    and keep the type of every other letter, so their order does not matter."""
+    inf = len(word) + 1
+    for x in [b for a, b, c in zip((inf,) + word, word, word[1:] + (inf,)) if a < b < c]:
+        word = _hop(word, x)
+    return word
+
+
+def mfs_orbit_classes(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], int, Counter]]:
+    """Every orbit of S_n as canonical member -> (least member, peaks, descent
+    tally), in the order of ``mfs_orbit_partition``.  Each permutation is visited
+    once and moved to its orbit's canonical member by the action itself."""
+    _check_bound(n, sn_bound(), "orbit")
+    classes: dict[tuple[int, ...], tuple[tuple[int, ...], int, Counter]] = {}
+    for word in permutations(range(1, n + 1)):  # lexicographic: the first member met is least
+        stats = _scan(word)
+        rep = _canonical(word)
+        if rep not in classes:
+            classes[rep] = (word, stats.pk, Counter())
+        classes[rep][2][stats.des] += 1
+    return classes
 
 
 # -- Stirling permutations ---------------------------------------------------
@@ -263,19 +292,6 @@ def stirling_permutations(n: int, bound: int | None = None) -> Iterator[tuple[in
                 yield w[:pos] + (k, k) + w[pos:]
 
     return gen(n)
-
-
-def is_stirling_word(w: Sequence[int]) -> bool:
-    word = tuple(w)
-    n = len(word) // 2
-    if sorted(word) != sorted(list(range(1, n + 1)) * 2):
-        return False
-    for i in range(1, n + 1):
-        first = word.index(i)
-        second = word.index(i, first + 1)
-        if any(word[j] <= i for j in range(first + 1, second)):
-            return False
-    return True
 
 
 def stirling_stats(w: Sequence[int]) -> tuple[int, int, int]:
@@ -376,20 +392,44 @@ def young2_count(n: int) -> int:
 
 
 def _standardize(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(1 for v in word if v < u) + 1 for u in word)
+    """The permutation of 1..len(word) in the relative order of ``word``."""
+    ranks = sorted(word)
+    return tuple(ranks.index(u) + 1 for u in word)
 
 
 def contains_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
     """Classical containment: some subsequence is order-isomorphic to pattern."""
-    word = tuple(perm)
     pat = _standardize(pattern)
-    m = len(pat)
-    if m > len(word):
-        return False
-    for idx in combinations(range(len(word)), m):
-        if _standardize([word[i] for i in idx]) == pat:
-            return True
-    return False
+    return any(_standardize(sub) == pat for sub in combinations(tuple(perm), len(pat)))
+
+
+def _occurs_through(word: tuple[int, ...], pos: int, pattern: tuple[int, ...]) -> bool:
+    """Whether some occurrence of ``pattern`` in ``word`` uses the letter at
+    ``pos``, the largest of ``word``, as the pattern's largest letter."""
+    j = pattern.index(len(pattern))
+    rest = _standardize(pattern[:j] + pattern[j + 1:])
+    return any(
+        _standardize(left + right) == rest
+        for left in combinations(word[:pos], j)
+        for right in combinations(word[pos + 1:], len(rest) - j)
+    )
+
+
+@lru_cache(maxsize=None)
+def _pattern_class(n: int, patterns: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Av_n(patterns): n inserted into every gap of each member of Av_(n-1),
+    which finds all of Av_n since deleting n keeps a permutation avoiding.  An
+    insertion is kept when no occurrence of a pattern uses n, necessarily as
+    the pattern's largest letter (J. West, Discrete Math. 157, 1996)."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        word
+        for shorter in _pattern_class(n - 1, patterns)
+        for pos in range(n)
+        for word in (shorter[:pos] + (n,) + shorter[pos:],)
+        if not any(_occurs_through(word, pos, p) for p in patterns)
+    )
 
 
 def pattern_class_descent_poly(
@@ -397,29 +437,7 @@ def pattern_class_descent_poly(
 ) -> UniPoly:
     """Descent enumerator of the permutations in S_n avoiding every pattern."""
     _check_bound(n, bound if bound is not None else pattern_bound(), "pattern avoidance")
-    pats = [check_perm(p) for p in patterns]
-    if any(len(p) > 4 for p in pats):
-        raise ValueError("patterns longer than 4 are not supported")
-    return UniPoly.from_counts(
-        Counter(
-            _scan(word).des
-            for word in permutations(range(1, n + 1))
-            if not any(contains_pattern(word, p) for p in pats)
-        )
-    )
-
-
-# -- signed permutations (used only as a cross-check oracle) -----------------
-
-
-def signed_descent_poly(n: int) -> UniPoly:
-    """Descent enumerator of signed permutations, descents at i in 0..n-1
-    with pi(0) = 0."""
-    if n > 6:
-        raise BoundExceeded("signed enumeration capped at 6")
-    counts: Counter = Counter()
-    for word in permutations(range(1, n + 1)):
-        for mask in range(1 << n):
-            signed = tuple(-v if mask >> i & 1 else v for i, v in enumerate(word))
-            counts[_scan((0,) + signed).des] += 1
-    return UniPoly.from_counts(counts)
+    pats = tuple(sorted({check_perm(p) for p in patterns}))
+    if any(not 1 <= len(p) <= 4 for p in pats):
+        raise ValueError("patterns must have 1 to 4 letters")
+    return UniPoly.from_counts(Counter(_scan(word).des for word in _pattern_class(n, pats)))

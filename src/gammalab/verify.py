@@ -192,10 +192,9 @@ def _foata(bound: int) -> list[dict]:
 def _orbit_table(n: int) -> tuple[tuple[tuple[int, ...], int, UniPoly], ...]:
     """(least member, pk, descent polynomial) of every valley-hopping orbit of S_n."""
     table, polys = [], {}  # orbits share few descent polynomials: keep one copy of each
-    for orbit in oracles.mfs_orbit_partition(n):
-        least = min(orbit)
-        poly = UniPoly.from_counts(Counter(oracles._scan(sigma).des for sigma in orbit))
-        table.append((least, oracles._scan(least).pk, polys.setdefault(poly.coeffs, poly)))
+    for least, pk, des in oracles.mfs_orbit_classes(n).values():
+        poly = UniPoly.from_counts(des)
+        table.append((least, pk, polys.setdefault(poly.coeffs, poly)))
     return tuple(table)
 
 
@@ -208,11 +207,14 @@ def _orbit_table(n: int) -> tuple[tuple[tuple[int, ...], int, UniPoly], ...]:
 def _mfs_orbit(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
-        total = UniPoly.zero()
+        wants: dict[int, UniPoly] = {}
+        orbits_per_pk: Counter = Counter()
         for least, pk, got in _orbit_table(n):
-            want = UniPoly.monomial(pk) * _ONE_PLUS_X ** (n - 1 - 2 * pk)
-            _eq(got, want, fails, n=n, orbit_of=list(least))
-            total = total + want
+            if pk not in wants:
+                wants[pk] = UniPoly.monomial(pk) * _ONE_PLUS_X ** (n - 1 - 2 * pk)
+            _eq(got, wants[pk], fails, n=n, orbit_of=list(least))
+            orbits_per_pk[pk] += 1
+        total = sum((c * wants[pk] for pk, c in orbits_per_pk.items()), UniPoly.zero())
         _eq(total, fam.eulerian_a(n), fails, n=n)
     return fails
 
@@ -226,13 +228,16 @@ def _mfs_orbit(bound: int) -> list[dict]:
 def _mfs_orbit_sq(bound: int) -> list[dict]:
     fails: list[dict] = []
     for n in range(1, bound + 1):
+        wants: dict[int, UniPoly] = {}
         for least, pk, got in _orbit_table(n):
-            free = n - 1 - 2 * pk
-            terms = (
-                (binom(free, i) * (-2) ** i, 2 * pk + i, 2 * free - 2 * i) for i in range(free + 1)
-            )
-            want = basis_sum(_ONE_PLUS_X, terms)
-            _eq(got.substitute_power(2), want, fails, n=n, orbit_of=list(least))
+            if pk not in wants:
+                free = n - 1 - 2 * pk
+                terms = (
+                    (binom(free, i) * (-2) ** i, 2 * pk + i, 2 * free - 2 * i)
+                    for i in range(free + 1)
+                )
+                wants[pk] = basis_sum(_ONE_PLUS_X, terms)
+            _eq(got.substitute_power(2), wants[pk], fails, n=n, orbit_of=list(least))
     return fails
 
 

@@ -328,7 +328,12 @@ def test_criterion_8_negative_control(monkeypatch):
     monkeypatch.undo()
 
     # The oracle side: every permutation gains a descent in the one scan.
-    caches = (oracles._joint_counts, oracles.mfs_orbit_partition, v._orbit_table)
+    caches = (
+        oracles._joint_counts,
+        oracles.mfs_orbit_partition,
+        oracles._pattern_class,
+        v._orbit_table,
+    )
     for cache in caches:
         cache.cache_clear()
     scan = oracles._scan
@@ -340,6 +345,18 @@ def test_criterion_8_negative_control(monkeypatch):
         monkeypatch.undo()
         for cache in caches:
             cache.cache_clear()
-    if len(failing) < 3:
+    if len(failing) < 3 or not {"MFS_ORBIT", "MFS_ORBIT_SQ"} <= set(failing):
         problems.append(f"only {failing} failed with a corrupted oracle")
-    _report("criterion 8: negative control (corrupted family and oracle)", problems)
+
+    # The pattern classes: an insertion step that keeps every insertion
+    # builds all of S_n, whose descents are Eulerian, not Narayana.
+    monkeypatch.setattr(oracles, "_occurs_through", lambda word, pos, pattern: False)
+    oracles._pattern_class.cache_clear()
+    try:
+        failing = _failing_with_witness(("NARA_231", "NARA_B4"), 5, problems)
+    finally:
+        monkeypatch.undo()
+        oracles._pattern_class.cache_clear()
+    if len(failing) < 2:
+        problems.append(f"only {failing} failed with an insertion step that keeps everything")
+    _report("criterion 8: negative control (corrupted family and oracles)", problems)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from gammalab import families as fam
 from gammalab import oracles as o
 from gammalab.polynomial import UniPoly, binom
+
+NARA_B4_PATTERNS = [(1, 3, 4, 2), (3, 1, 4, 2), (3, 4, 1, 2), (3, 4, 2, 1)]
 
 
 def test_perm_stats_boundary_conventions():
@@ -56,8 +59,6 @@ def _reference_stats(word):
 
 def test_joint_counts_agree_with_perm_stats():
     # Both sides are checked against the definitions above, not each other.
-    from collections import Counter
-
     for n in range(1, 7):
         reference = Counter()
         for word in permutations(range(1, n + 1)):
@@ -117,12 +118,40 @@ def test_mfs_orbits_partition():
         assert len(seen) == math.factorial(n)
 
 
+def test_canonical_grouping_is_the_orbit_partition():
+    for n in range(1, 8):
+        orbits = o.mfs_orbit_partition(n)
+        classes = o.mfs_orbit_classes(n)
+        assert len(classes) == len(orbits)
+        # both list orbits in lexicographic order of their least members
+        for orbit, (rep, (least, pk, des)) in zip(orbits, classes.items()):
+            assert all(o._canonical(word) == rep for word in orbit)
+            assert rep in orbit and o.perm_stats(rep).dasc == 0
+            assert least == min(orbit)
+            assert {o.perm_stats(word).pk for word in orbit} == {pk}
+            assert des == Counter(o.perm_stats(word).des for word in orbit)
+
+
+def _is_stirling_word(w):
+    """Every letter of 1..n twice, and the letters between two copies exceed them."""
+    word = tuple(w)
+    n = len(word) // 2
+    if sorted(word) != sorted(list(range(1, n + 1)) * 2):
+        return False
+    for i in range(1, n + 1):
+        first = word.index(i)
+        second = word.index(i, first + 1)
+        if any(word[j] <= i for j in range(first + 1, second)):
+            return False
+    return True
+
+
 def test_stirling_permutations():
     q2 = sorted(o.stirling_permutations(2))
     assert q2 == [(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1)]
     assert [o.stirling_stats(w)[2] for w in q2] == [3, 2, 1]
-    assert all(o.is_stirling_word(w) for w in o.stirling_permutations(4))
-    assert not o.is_stirling_word((1, 2, 1, 2))
+    assert all(_is_stirling_word(w) for w in o.stirling_permutations(4))
+    assert not _is_stirling_word((1, 2, 1, 2))
     for n in range(1, 7):
         count = sum(1 for _ in o.stirling_permutations(n))
         double_factorial = 1
@@ -159,13 +188,26 @@ def test_young_examples():
 
 def test_pattern_examples():
     assert o.pattern_class_descent_poly(3, [(2, 3, 1)]) == UniPoly([1, 3, 1])
-    four = [(1, 3, 4, 2), (3, 1, 4, 2), (3, 4, 1, 2), (3, 4, 2, 1)]
-    assert o.pattern_class_descent_poly(3, four) == UniPoly([1, 4, 1])
+    assert o.pattern_class_descent_poly(3, NARA_B4_PATTERNS) == UniPoly([1, 4, 1])
     assert o.pattern_class_descent_poly(1, [(2, 1)]) == UniPoly.one()
     assert o.contains_pattern((3, 1, 2), (2, 1))
     assert not o.contains_pattern((1, 2, 3), (2, 1))
-    with pytest.raises(ValueError):
-        o.pattern_class_descent_poly(4, [(1, 2, 3, 4, 5)])
+    for too_long_or_empty in ((1, 2, 3, 4, 5), ()):
+        with pytest.raises(ValueError):
+            o.pattern_class_descent_poly(4, [too_long_or_empty])
+    assert o.pattern_class_descent_poly(3, [(1,)]) == UniPoly.zero()
+
+
+def test_insertion_built_class_is_the_avoidance_filter():
+    assert o._standardize((5, 2, 9)) == (2, 1, 3)
+    for patterns in ([(2, 3, 1)], NARA_B4_PATTERNS):
+        for n in range(8):
+            want = [
+                word
+                for word in permutations(range(1, n + 1))
+                if not any(o.contains_pattern(word, p) for p in patterns)
+            ]
+            assert sorted(o._pattern_class(n, tuple(sorted(patterns)))) == want, (n, patterns)
 
 
 def test_stat_polynomial_doubled_descents():
