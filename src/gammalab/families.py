@@ -16,7 +16,7 @@ from functools import lru_cache, partial, update_wrapper
 from typing import Callable
 
 from . import oracles
-from .polynomial import BiPoly, UniPoly, binom
+from .polynomial import ONE, ONE_PLUS_X, X, BiPoly, UniPoly, binom
 
 
 class TypeDRange(ValueError):
@@ -44,10 +44,6 @@ class FamilyId(enum.Enum):
     BIV_DES_EXC = "biv_des_exc"
 
 
-_X = UniPoly.x()
-_ONE = UniPoly.one()
-
-
 def _recurrence(base: int):
     """Memoise P(n) = step(n, P(n-1)) for n > base, from P(base) = 1.
 
@@ -57,7 +53,7 @@ def _recurrence(base: int):
     """
 
     def decorate(step: Callable[[int, UniPoly], UniPoly]):
-        table = [_ONE]  # table[i] = P(base + i)
+        table = [ONE]  # table[i] = P(base + i)
 
         @lru_cache(maxsize=None)
         def poly(n: int) -> UniPoly:
@@ -107,7 +103,7 @@ def narayana(kind: str, n: int) -> UniPoly:
     if kind == "D":
         if n < 2:
             raise TypeDRange(f"type D needs n >= 2, got {n}")
-        return _type_b(n) - n * _X * _type_a(n - 2)
+        return _type_b(n) - n * X * _type_a(n - 2)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _type_a(n) if kind == "A" else _type_b(n)
@@ -169,7 +165,7 @@ def _b_small(n: int, prev: UniPoly) -> UniPoly:
 
 @_recurrence(1)
 def _alpha(n: int, prev: UniPoly) -> UniPoly:
-    factor = UniPoly([1, 1]) + Fraction(n - 2, 2) * UniPoly([0, -1, 3])
+    factor = ONE_PLUS_X + Fraction(n - 2, 2) * UniPoly([0, -1, 3])
     return factor * prev + Fraction(1, 2) * _X_PLUS_2X2_MINUS_3X3 * prev.derivative()
 
 
@@ -236,9 +232,7 @@ def cyclotomic(n: int) -> UniPoly:
 
 def biv_des_exc(n: int, bound: int | None = None) -> BiPoly:
     """Joint descent/excedance enumerator of S_n as a polynomial in s and t."""
-    result = oracles.stat_polynomial(n, "des,exc", bound=bound)
-    assert isinstance(result, BiPoly)
-    return result
+    return oracles.stat_polynomial(n, "des,exc", bound=bound)
 
 
 # Largest index ``generate`` accepts.  A recurrence keeps every smaller
@@ -280,6 +274,6 @@ def mn_combination(n: int) -> UniPoly:
     """N(B_n, x^2) + (n+1) x N(A_(n-1), x^2), the stable Narayana combination."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return narayana("B", n).substitute_power(2) + (n + 1) * _X * narayana(
+    return narayana("B", n).substitute_power(2) + (n + 1) * X * narayana(
         "A", n - 1
     ).substitute_power(2)

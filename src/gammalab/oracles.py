@@ -30,9 +30,7 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .polynomial import BiPoly, UniPoly, basis_sum
-
-_ONE_PLUS_X = UniPoly([1, 1])
+from .polynomial import ONE, ONE_PLUS_X, X, BiPoly, UniPoly, basis_sum
 
 DEFAULT_SN_BOUND = 9
 STIRLING_BOUND = 8
@@ -168,7 +166,7 @@ def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | 
         if k is not None:
             tally[k] += c
     if weight == "beta":
-        return basis_sum(_ONE_PLUS_X, ((c * 4**k, 2 * k, n - 2 * k) for k, c in tally.items()))
+        return basis_sum(ONE_PLUS_X, ((c * 4**k, 2 * k, n - 2 * k) for k, c in tally.items()))
     return UniPoly.from_counts(tally)
 
 
@@ -328,13 +326,11 @@ def motzkin2_ub_poly(n: int, bound: int | None = None) -> UniPoly:
     (weight x) or red (weight 1), up steps weigh x, down steps weigh 1.
     """
     _check_bound(n, bound if bound is not None else motzkin_bound(), "2-Motzkin")
-    x = UniPoly.x()
-    level = UniPoly([1, 1])  # red + blue
-    heights: dict[int, UniPoly] = {0: UniPoly.one()}
+    heights: dict[int, UniPoly] = {0: ONE}
     for _ in range(n):
         nxt: dict[int, UniPoly] = {}
         for h, poly in heights.items():
-            for dh, w in ((1, x), (0, level), (-1, UniPoly.one())):
+            for dh, w in ((1, X), (0, ONE_PLUS_X), (-1, ONE)):  # level: red + blue
                 hh = h + dh
                 if hh < 0:
                     continue
@@ -381,7 +377,7 @@ def young2_weight_poly(n: int, weighting: str, bound: int | None = None) -> UniP
     counts = _young2_counts(n)
     if weighting == "sqrt_split":
         return UniPoly(counts)
-    return basis_sum(_ONE_PLUS_X, ((c, 2 * k, 2 * n - 2 * k) for k, c in enumerate(counts)))
+    return basis_sum(ONE_PLUS_X, ((c, 2 * k, 2 * n - 2 * k) for k, c in enumerate(counts)))
 
 
 def young2_count(n: int) -> int:

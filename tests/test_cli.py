@@ -110,6 +110,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out = run(capsys, "verify", "ANXBNX", "--bound", "4")
     assert code == 1
     assert "fail" in out and "witness" in out
+    # A_4 is no longer symmetric, so ABREC's case n=4 raises inside its
+    # alternating expansion: a failed case with a witness, not a usage error.
+    code, out = run(capsys, "verify", "ABREC", "--bound", "6", "--json")
+    assert code == 1
+    witness = json.loads(out)[0]["witness"]
+    assert witness["params"] == {"n": 4}
+    assert witness["difference"].startswith("NotSymmetric: ")
 
 
 def test_verify_json_byte_stable(capsys):

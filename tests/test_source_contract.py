@@ -1,0 +1,38 @@
+"""The package source keeps two contracts a run cannot show: no ``assert``
+statement, because ``python -O`` strips them, and no import from outside
+the standard library and the package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import gammalab
+
+SOURCES = sorted(Path(gammalab.__file__).parent.glob("*.py"))
+
+
+def _nodes():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            yield path.name, node
+
+
+def test_source_has_no_assert():
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert SOURCES and not found, found
+
+
+def test_source_imports_only_the_standard_library_and_the_package():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:  # a relative import stays inside the package
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "gammalab" and top not in sys.stdlib_module_names:
+                found.append(f"{name}:{node.lineno}: {module}")
+    assert SOURCES and not found, found

@@ -131,27 +131,56 @@ def test_negative_control_corrupted_family(monkeypatch):
 
 def test_random_corpus_is_pinned():
     # The symmetric, gamma-positive and alternating-positive corpora, 200
-    # draws each from a fresh seeded generator, hashed in that order.
-    digest = hashlib.sha256()
-    for args in ((), ((1, 12), 0), ((0, 10), 0, -1)):
+    # draws each, hashed in that order: from a fresh seeded generator, and
+    # through the per-trial accessor the sampled checks read.
+    sequential, per_trial = hashlib.sha256(), hashlib.sha256()
+    corpora = (v._random_gamma, ()), (v._POSITIVE, ((1, 12), 0)), (v._ALTERNATING, ((0, 10), 0, -1))
+    for draw, args in corpora:
         rng = random.Random(271828)
-        for _ in range(200):
+        for t in range(1, 201):
             f, n = v._random_gamma(rng, *args)
-            digest.update(f"{f.to_text()}|{n};".encode())
-    assert digest.hexdigest() == "1ba3e0fe41cbb4b46109abb133ab7a891c3405dbb3a46fafc572e64c3cf2759e"
+            sequential.update(f"{f.to_text()}|{n};".encode())
+            f, n = v._sample(draw, t)
+            per_trial.update(f"{f.to_text()}|{n};".encode())
+    pinned = "1ba3e0fe41cbb4b46109abb133ab7a891c3405dbb3a46fafc572e64c3cf2759e"
+    assert sequential.hexdigest() == per_trial.hexdigest() == pinned
+    # SYMDEC's 100 polynomials with their centers, as its sequential loop drew them.
+    symdec = hashlib.sha256()
+    for t in range(1, 101):
+        f, n = v._sample(v._random_poly, t)
+        symdec.update(f"{f.to_text()}|{n};".encode())
+    assert symdec.hexdigest() == "d2fbae9df8dd8de7cd4a5d0434893b6c689172b7725d2d1e1c8b2c258c033a90"
+
+
+def test_reports_count_the_cases_they_ran(monkeypatch):
+    assert v.run_identity("ODD_CEX").cases == 1
+    assert v.run_identity("THM31_I").cases == 200
+    empty = v.run_identity("NARA_B4", -1)
+    assert empty.status == "empty" and empty.cases == 0
+    monkeypatch.setenv("GAMMALAB_MAX_N", "3")
+    clamped = v.run_identity("FOATA")
+    assert clamped.range_run == "n <= 3" and clamped.cases == 3
+    # the count stays out of the byte-stable JSON report
+    assert set(clamped.to_json()) == {"id", "range", "status", "witness"}
 
 
 def test_negative_control_corrupted_basis_sum(monkeypatch):
     # These checks build only their expected side with basis_sum, so a
     # wrong basis sum must make them fail with a witness.
+    # The random corpora draw through the same name: keep no corrupted draw.
     original = v.basis_sum
+    v._stream.cache_clear()
     monkeypatch.setattr(v, "basis_sum", lambda base, terms: original(base, terms) + UniPoly.x())
     failing = []
-    for ident in ("COKER1", "RIORDAN", "STEMBRIDGE", "LEFTPEAK_B", "COR15"):
-        report = v.run_identity(ident, 4)
-        if report.status == "fail":
-            assert report.witness["params"], ident
-            failing.append(ident)
+    try:
+        for ident in ("COKER1", "RIORDAN", "STEMBRIDGE", "LEFTPEAK_B", "COR15"):
+            report = v.run_identity(ident, 4)
+            if report.status == "fail":
+                assert report.witness["params"], ident
+                failing.append(ident)
+    finally:
+        monkeypatch.undo()
+        v._stream.cache_clear()
     assert len(failing) >= 3, failing
 
 
