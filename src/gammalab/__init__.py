@@ -5,10 +5,8 @@ from .polynomial import (
     BiPoly,
     DegreeTooSmall,
     NotDivisible,
-    RatFun,
     Scalar,
     UniPoly,
-    apply_diff_operator,
     f_to_h,
     poly_gcd,
 )
@@ -17,10 +15,8 @@ __all__ = [
     "BiPoly",
     "DegreeTooSmall",
     "NotDivisible",
-    "RatFun",
     "Scalar",
     "UniPoly",
-    "apply_diff_operator",
     "f_to_h",
     "poly_gcd",
 ]

@@ -1,6 +1,6 @@
 """Exact polynomial arithmetic over arbitrary-precision rationals.
 
-Three immutable value types live here and everything else in the package is
+Two immutable value types live here and everything else in the package is
 built on top of them:
 
 * ``UniPoly``: dense univariate polynomial, coefficient ``i`` is the
@@ -9,9 +9,6 @@ built on top of them:
 * ``BiPoly``: polynomial in ``t`` whose coefficients are ``UniPoly`` in
   ``s``.  Dense in ``t``; this is all the bivariate structure the package
   needs.
-* ``RatFun``: reduced ratio of two ``UniPoly`` with a canonical
-  denominator (primitive integer coefficients, positive leading
-  coefficient), so equality is plain field equality.
 
 Scalars are exact rationals in one canonical form: an ``int`` when the
 value is an integer, else a ``fractions.Fraction`` whose denominator is
@@ -304,19 +301,6 @@ class UniPoly:
             out[n - i] = c
         return UniPoly(out)
 
-    # -- scalar structure ------------------------------------------------
-
-    def content(self) -> Scalar:
-        """Positive rational c with self = c * (primitive integer polynomial)."""
-        if self.is_zero():
-            return 0
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return scalar_div(num, den)
-
     # -- formatting -------------------------------------------------------
 
     def to_text(self) -> str:
@@ -374,88 +358,6 @@ def f_to_h(f: UniPoly, n: int) -> UniPoly:
     if deg is not None and n < deg:
         raise DegreeTooSmall(f"framing degree {n} < degree {deg}")
     return basis_sum(ONE_MINUS_X, ((c, i, n - i) for i, c in enumerate(f.coeffs)))
-
-
-@dataclass(init=False, frozen=True)
-class RatFun:
-    """Reduced rational function num/den with a canonical denominator."""
-
-    num: UniPoly
-    den: UniPoly
-
-    def __init__(self, num: UniPoly | ScalarLike, den: UniPoly | ScalarLike = 1):
-        if not isinstance(num, UniPoly):
-            num = UniPoly((as_scalar(num),))
-        if not isinstance(den, UniPoly):
-            den = UniPoly((as_scalar(den),))
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "num", UniPoly.zero())
-            object.__setattr__(self, "den", UniPoly.one())
-            return
-        g = poly_gcd(num, den)
-        if g.degree:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        # Canonical scale: denominator primitive with positive leading coeff.
-        scale = den.content()
-        if den.leading_coefficient() < 0:
-            scale = -scale
-        inverse = scalar_div(1, scale)
-        object.__setattr__(self, "num", num * inverse)
-        object.__setattr__(self, "den", den * inverse)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: RatFun) -> RatFun:
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: RatFun) -> RatFun:
-        return self + (-other)
-
-    def __neg__(self) -> RatFun:
-        return RatFun(-self.num, self.den)
-
-    def __mul__(self, other: RatFun | UniPoly | ScalarLike) -> RatFun:
-        if isinstance(other, RatFun):
-            return RatFun(self.num * other.num, self.den * other.den)
-        if isinstance(other, UniPoly):
-            return RatFun(self.num * other, self.den)
-        return RatFun(self.num * as_scalar(other), self.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFun) -> RatFun:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> RatFun:
-        """Formal derivative by the quotient rule, reduced."""
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __str__(self) -> str:
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFun({self.num!r}, {self.den!r})"
-
-
-def apply_diff_operator(g: RatFun, r: RatFun, n: int) -> RatFun:
-    """Apply the operator (g * d/dx) to r, n times."""
-    if n < 0:
-        raise ValueError("operator power must be >= 0")
-    out = r
-    for _ in range(n):
-        out = g * out.derivative()
-    return out
 
 
 @dataclass(init=False, frozen=True)

@@ -51,9 +51,7 @@ from .polynomial import (
     X,
     BiPoly,
     NotDivisible,
-    RatFun,
     UniPoly,
-    apply_diff_operator,
     basis_sum,
     binom,
     catalan,
@@ -378,23 +376,29 @@ def _nd_alt(n: int) -> Iterator[dict]:
 # -- differential operator identities -----------------------------------------
 
 
-_XD = RatFun(X)
-_X2D = RatFun(UniPoly.monomial(2), _ONE_MINUS_X2)
+Ratio = tuple[UniPoly, UniPoly]  # a rational function as (numerator, denominator)
+
+_XD = (X, ONE)
+_X2D = (UniPoly.monomial(2), _ONE_MINUS_X2)
 
 
-def _step(op: RatFun, start: RatFun, want: Callable[[int], RatFun], n: int) -> Iterator[dict]:
-    """Case n of op^n start = want(n): op applied to want(n-1), or to start
-    at n = 1, gives want(n).  Every case below the first failing one holds,
-    so its witness is the one applying op to start n times gives."""
-    yield from _eq(apply_diff_operator(op, want(n - 1) if n > 1 else start, 1), want(n), n=n)
+def _step(op: Ratio, start: Ratio, want: Callable[[int], Ratio], n: int) -> Iterator[dict]:
+    """Case n of op^n start = want(n): op = g/h D applied to p/q, which is
+    want(n-1), or start at n = 1, gives r/s = want(n).  As h, q and s are
+    nonzero (1 or powers of 1-x and 1-x^2), that equation holds exactly
+    when g (p'q - pq') s = r h q^2, and those two polynomials are compared.
+    Every case below the first failing one holds, so its witness is the
+    one applying op to start n times gives."""
+    (g, h), (p, q), (r, s) = op, want(n - 1) if n > 1 else start, want(n)
+    yield from _eq(g * (p.derivative() * q - p * q.derivative()) * s, r * h * q * q, n=n)
 
 
 @_check("OPID_A", "(xD)^n 1/(1-x) = x A_n(x)/(1-x)^(n+1)", 10)
 def _opid_a(n: int) -> Iterator[dict]:
     return _step(
         _XD,
-        RatFun(ONE, ONE_MINUS_X),
-        lambda n: RatFun(X * fam.eulerian_a(n), ONE_MINUS_X ** (n + 1)),
+        (ONE, ONE_MINUS_X),
+        lambda n: (X * fam.eulerian_a(n), ONE_MINUS_X ** (n + 1)),
         n,
     )
 
@@ -403,8 +407,8 @@ def _opid_a(n: int) -> Iterator[dict]:
 def _opid_a2(n: int) -> Iterator[dict]:
     return _step(
         _XD,
-        RatFun(ONE, _ONE_MINUS_X2),
-        lambda n: RatFun(
+        (ONE, _ONE_MINUS_X2),
+        lambda n: (
             2**n * UniPoly.monomial(2) * fam.eulerian_a(n).substitute_power(2),
             _ONE_MINUS_X2 ** (n + 1),
         ),
@@ -416,8 +420,8 @@ def _opid_a2(n: int) -> Iterator[dict]:
 def _opid_b2(n: int) -> Iterator[dict]:
     return _step(
         _XD,
-        RatFun(X, _ONE_MINUS_X2),
-        lambda n: RatFun(X * fam.eulerian_b(n).substitute_power(2), _ONE_MINUS_X2 ** (n + 1)),
+        (X, _ONE_MINUS_X2),
+        lambda n: (X * fam.eulerian_b(n).substitute_power(2), _ONE_MINUS_X2 ** (n + 1)),
         n,
     )
 
@@ -426,8 +430,8 @@ def _opid_b2(n: int) -> Iterator[dict]:
 def _opid_na(n: int) -> Iterator[dict]:
     return _step(
         _X2D,
-        RatFun(ONE, _ONE_MINUS_X2),
-        lambda n: RatFun(
+        (ONE, _ONE_MINUS_X2),
+        lambda n: (
             math.factorial(n + 1)
             * UniPoly.monomial(n + 2)
             * fam.narayana("A", n - 1).substitute_power(2),
@@ -441,8 +445,8 @@ def _opid_na(n: int) -> Iterator[dict]:
 def _opid_nb(n: int) -> Iterator[dict]:
     return _step(
         _X2D,
-        RatFun(X, _ONE_MINUS_X2),
-        lambda n: RatFun(
+        (X, _ONE_MINUS_X2),
+        lambda n: (
             math.factorial(n) * UniPoly.monomial(n + 1) * fam.narayana("B", n).substitute_power(2),
             _ONE_MINUS_X2 ** (2 * n + 1),
         ),
@@ -454,8 +458,8 @@ def _opid_nb(n: int) -> Iterator[dict]:
 def _opid_mn(n: int) -> Iterator[dict]:
     return _step(
         _X2D,
-        RatFun(ONE, ONE_MINUS_X),
-        lambda n: RatFun(
+        (ONE, ONE_MINUS_X),
+        lambda n: (
             math.factorial(n) * UniPoly.monomial(n + 1) * fam.mn_combination(n),
             _ONE_MINUS_X2 ** (2 * n + 1),
         ),
@@ -1040,9 +1044,13 @@ def conjecture_des_exc(
     rewritten in powers of (s-1), must be coefficientwise nonnegative
     (a certificate for every real s >= 1); and for each sampled s the
     specialized gamma vector is nonnegative while the full enumerator is
-    unimodal.
+    unimodal.  A sampled s below 1 is outside the conjecture and raises
+    ``ValueError``.
     """
     if max_n > 9:
         raise ValueError("bounded checker capped at n = 9")
+    for s0 in s_values:
+        if s0 < 1:
+            raise ValueError(f"sample value s = {s0} is below 1")
     case = partial(_des_exc_case, descent_excedance_parts(max_n), s_values)
     return _run("CONJ_DES_EXC", "n", 2, max_n, case, HOLDS)

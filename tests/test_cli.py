@@ -163,19 +163,26 @@ def test_clamped_check_reports_the_range_it_ran(capsys, monkeypatch):
     assert json.loads(out)[0]["range"] == "n <= 2"
 
 
+COEFFICIENT = "gammalab: coefficient "
+SAMPLE_BELOW_ONE = "gammalab: sample value s = "
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["expand", "--basis", "gamma", "--poly", "1.5 0 1.5"],
-        ["expand", "--basis", "gamma", "--poly", "1e3 0 1e3"],
-        ["stability", "--poly", "1 2 1/0"],
-        ["conjecture", "des-exc", "--max-n", "3", "--s", "1.5"],
+        (["expand", "--basis", "gamma", "--poly", "1.5 0 1.5"], COEFFICIENT),
+        (["expand", "--basis", "gamma", "--poly", "1e3 0 1e3"], COEFFICIENT),
+        (["stability", "--poly", "1 2 1/0"], COEFFICIENT),
+        (["conjecture", "des-exc", "--max-n", "3", "--s", "1.5"], COEFFICIENT),
+        (["conjecture", "des-exc", "--max-n", "3", "--s", "0"], SAMPLE_BELOW_ONE),
+        (["conjecture", "des-exc", "--max-n", "3", "--s", "-1"], SAMPLE_BELOW_ONE),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_coefficients_outside_the_wire_format_are_usage_errors(capsys, argv):
+def test_coefficients_outside_the_wire_format_are_usage_errors(capsys, argv, message):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("gammalab: coefficient ") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_recursion_overflow_is_a_one_line_usage_error(capsys):

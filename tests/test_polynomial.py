@@ -8,9 +8,7 @@ from gammalab.polynomial import (
     BiPoly,
     DegreeTooSmall,
     NotDivisible,
-    RatFun,
     UniPoly,
-    apply_diff_operator,
     as_scalar,
     basis_sum,
     f_to_h,
@@ -20,7 +18,6 @@ from gammalab.polynomial import (
 ONE = UniPoly.one()
 X = UniPoly.x()
 ONE_PLUS_X = UniPoly([1, 1])
-ONE_MINUS_X2 = UniPoly([1, 0, -1])
 
 
 scalars = hs.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -65,9 +62,6 @@ def test_division_paths_keep_integer_inputs_exact():
     q, r = divmod(UniPoly([2, 3, 1]), UniPoly([1, 1]))
     assert q.coeffs == (2, 1) and r.is_zero()
     assert_canonical(q.coeffs)
-    ratio = RatFun(UniPoly([2, 4]), UniPoly([4]))
-    assert ratio.num.coeffs == (Fraction(1, 2), 1) and ratio.den.coeffs == (1,)
-    assert_canonical(ratio.num.coeffs + ratio.den.coeffs)
 
 
 def test_integral_fractions_become_ints():
@@ -142,33 +136,6 @@ def test_text_format():
     assert UniPoly.from_json(f.to_json()) == f
 
 
-def test_ratfun_examples():
-    third = RatFun(ONE, ONE_MINUS_X2) + RatFun(X, ONE_MINUS_X2)
-    assert third == RatFun(ONE, UniPoly([1, -1]))
-    f = UniPoly([2, 0, 5])
-    assert RatFun(f, f) == RatFun(ONE)
-    twice = RatFun(2 * UniPoly.monomial(3), ONE_MINUS_X2**3)
-    assert RatFun(twice.num, twice.den) == twice  # normalization idempotent
-
-
-def test_ratfun_canonical_denominator():
-    r = RatFun(ONE, UniPoly([Fraction(1, 2), Fraction(-1, 2)]))
-    assert r.den.leading_coefficient() > 0
-    assert r.den.content() == 1
-
-
-def test_apply_diff_operator_examples():
-    xd = RatFun(X)
-    assert apply_diff_operator(xd, RatFun(ONE, UniPoly([1, -1])), 1) == RatFun(
-        X, UniPoly([1, -1]) ** 2
-    )
-    op = RatFun(UniPoly.monomial(2), ONE_MINUS_X2)
-    got = apply_diff_operator(op, RatFun(ONE, ONE_MINUS_X2), 1)
-    assert got == RatFun(2 * UniPoly.monomial(3), ONE_MINUS_X2**3)
-    got = apply_diff_operator(op, RatFun(X, ONE_MINUS_X2), 2)
-    assert got == RatFun(2 * UniPoly.monomial(3) * UniPoly([1, 0, 4, 0, 1]), ONE_MINUS_X2**5)
-
-
 def test_basis_sum_examples():
     assert basis_sum(ONE_PLUS_X, [(1, 0, 2), (3, 1, 0), (0, 5, 9)]) == UniPoly([1, 5, 1])
     assert basis_sum(ONE_PLUS_X, []) == UniPoly.zero()
@@ -224,16 +191,6 @@ def test_divmod_invariant(f, g):
     q, r = divmod(f, g)
     assert q * g + r == f
     assert r.is_zero() or r.degree < g.degree
-
-
-@settings(max_examples=20, deadline=None)
-@given(hs.integers(0, 3), hs.integers(0, 3))
-def test_operator_composition(m, k):
-    op = RatFun(UniPoly.monomial(2), ONE_MINUS_X2)
-    r = RatFun(ONE, UniPoly([1, -1]))
-    assert apply_diff_operator(op, r, m + k) == apply_diff_operator(
-        op, apply_diff_operator(op, r, k), m
-    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,14 +119,27 @@ def test_negative_control_corrupted_family(monkeypatch):
         return poly
 
     monkeypatch.setattr(fam, "eulerian_a", corrupted)
+    reports = {i: v.run_identity(i, 5) for i in ("ANXBNX", "FOATA", "STEMBRIDGE", "SPECIALS", "OPID_A")}
     failing = []
-    for ident in ("ANXBNX", "FOATA", "STEMBRIDGE", "SPECIALS", "OPID_A"):
-        report = v.run_identity(ident, 5)
+    for ident, report in reports.items():
         if report.status == "fail":
             assert report.witness, ident
             assert report.witness["params"], ident
             failing.append(ident)
     assert len(failing) >= 3, failing
+    # The operator identity fails exactly where A_5 enters: (xD) applied to case 4.
+    assert reports["OPID_A"].status == "fail"
+    assert reports["OPID_A"].witness["params"] == {"n": 5}
+
+
+def test_negative_control_corrupted_operator(monkeypatch):
+    # x^2/(1-x) D in place of x^2/(1-x^2) D: every identity built on it
+    # fails at its first case, where the operator meets the start.
+    monkeypatch.setattr(v, "_X2D", (UniPoly.monomial(2), UniPoly([1, -1])))
+    for ident in ("OPID_NA", "OPID_NB", "OPID_MN"):
+        report = v.run_identity(ident, 4)
+        assert report.status == "fail", ident
+        assert report.witness["params"] == {"n": 1}, ident
 
 
 def test_random_corpus_is_pinned():
