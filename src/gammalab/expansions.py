@@ -23,6 +23,7 @@ from .polynomial import (
     ONE_MINUS_X,
     ONE_PLUS_X,
     DegreeTooSmall,
+    DensePoly,
     Scalar,
     UniPoly,
     basis_sum,
@@ -174,7 +175,7 @@ class PositivityProfile:
         return asdict(self)
 
 
-def _check_frame(f: UniPoly, n: int) -> None:
+def _check_frame(f: DensePoly, n: int) -> None:
     deg = f.degree
     if deg is not None and n < deg:
         raise DegreeTooSmall(f"center {n} < degree {deg}")
@@ -182,7 +183,7 @@ def _check_frame(f: UniPoly, n: int) -> None:
         raise DegreeTooSmall(f"center {n} < 0")
 
 
-def is_symmetric(f: UniPoly, n: int) -> bool:
+def is_symmetric(f: DensePoly, n: int) -> bool:
     """True iff coefficient i equals coefficient n-i for 0 <= i <= n."""
     _check_frame(f, n)
     return all(f.coefficient(i) == f.coefficient(n - i) for i in range(n // 2 + 1))
@@ -215,16 +216,20 @@ def alt_gamma_expand(f: UniPoly, n: int) -> GammaExpansion:
     return GammaExpansion(n, tuple(c * (-1) ** k for k, c in enumerate(plus)), MINUS)
 
 
-def _peel(f: UniPoly, power: Callable[[int], UniPoly], exponents: range) -> tuple[Scalar, ...]:
+def _peel(f: DensePoly, power: Callable[[int], DensePoly], exponents: range) -> tuple:
     """Coefficients of f in the triangular basis x^k power(m_k), m_k the k-th
-    exponent: read the lowest coefficient of the remainder, subtract, repeat."""
+    exponent: read the lowest coefficient of the remainder, subtract, repeat.
+    Any dense polynomial type serves, a ``BiPoly`` as well as a ``UniPoly``:
+    the monomials are built by the type of f, so the coefficients come from
+    its coefficient ring."""
     rem = f
     out = []
+    monomial = type(f).monomial
     for k, m in enumerate(exponents):
         c = rem.coefficient(k)
         out.append(c)
         if c:
-            rem = rem - UniPoly.monomial(k, c) * power(m)
+            rem = rem - monomial(k, c) * power(m)
     if not rem.is_zero():
         raise ArithmeticError("peeling in a triangular basis must terminate at zero")
     return tuple(out)

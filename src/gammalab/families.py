@@ -202,10 +202,13 @@ def boros_moll_coefficient(m: int, i: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def boros_moll(m: int) -> UniPoly:
-    """Boros-Moll polynomial M_m from the closed coefficient formula."""
+    """Boros-Moll polynomial M_m, the closed coefficient formula summed over
+    i first: as sum_i C(k, i) x^i = (1+x)^k, 4^m M_m(x) is the sum of
+    2^k C(2m-2k, m-k) C(m+k, k) (1+x)^k over 0 <= k <= m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return UniPoly([boros_moll_coefficient(m, i) for i in range(m + 1)])
+    t = UniPoly([2**k * binom(2 * m - 2 * k, m - k) * binom(m + k, k) for k in range(m + 1)])
+    return t.compose(ONE_PLUS_X) * Fraction(1, 4**m)
 
 
 @_recurrence(0)
@@ -230,9 +233,9 @@ def cyclotomic(n: int) -> UniPoly:
     return phi[n]
 
 
-def biv_des_exc(n: int, bound: int | None = None) -> BiPoly:
+def biv_des_exc(n: int) -> BiPoly:
     """Joint descent/excedance enumerator of S_n as a polynomial in s and t."""
-    return oracles.stat_polynomial(n, "des,exc", bound=bound)
+    return oracles.stat_polynomial(n, "des,exc")
 
 
 # Largest index ``generate`` accepts.  A recurrence keeps every smaller

@@ -140,7 +140,7 @@ _EXPONENTS = {
 STAT_WEIGHTS = (*_EXPONENTS, "des,exc")
 
 
-def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | BiPoly:
+def stat_polynomial(n: int, weight: str) -> UniPoly | BiPoly:
     """Sum a monomial weight over S_n.
 
     Supported weights: x^des, x^pk, x^lpk, x^(pk+des), x^(n-1-dasc),
@@ -150,7 +150,7 @@ def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | 
     """
     if weight not in STAT_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose one of {STAT_WEIGHTS}")
-    _check_bound(n, bound if bound is not None else sn_bound(), "S_n")
+    _check_bound(n, sn_bound(), "S_n")
     if n < 1:
         raise ValueError("statistics need n >= 1")
     counts = _joint_counts(n)
@@ -170,9 +170,9 @@ def stat_polynomial(n: int, weight: str, bound: int | None = None) -> UniPoly | 
     return UniPoly.from_counts(tally)
 
 
-def gamma_count_vector(n: int, bound: int | None = None) -> tuple[int, ...]:
+def gamma_count_vector(n: int) -> tuple[int, ...]:
     """#{pi in S_n : pk = k, ddes = 0} for k = 0..(n-1)//2."""
-    poly = stat_polynomial(n, "gamma", bound=bound)
+    poly = stat_polynomial(n, "gamma")
     return tuple(int(poly.coefficient(k)) for k in range((n - 1) // 2 + 1))
 
 
@@ -212,11 +212,11 @@ def _hop(word: tuple[int, ...], x: int) -> tuple[int, ...]:
     return word
 
 
-def mfs_orbit(pi: Sequence[int], bound: int | None = None) -> frozenset[tuple[int, ...]]:
+def mfs_orbit(pi: Sequence[int]) -> frozenset[tuple[int, ...]]:
     """Closure of {pi} under every letter toggle."""
     word = check_perm(pi)
     n = len(word)
-    _check_bound(n, bound if bound is not None else sn_bound(), "orbit")
+    _check_bound(n, sn_bound(), "orbit")
     seen = {word}
     stack = [word]
     while stack:
@@ -238,7 +238,7 @@ def mfs_orbit_partition(n: int) -> tuple[frozenset[tuple[int, ...]], ...]:
     for word in permutations(range(1, n + 1)):
         if word in seen:
             continue
-        orbit = mfs_orbit(word, bound=n)
+        orbit = mfs_orbit(word)
         seen.update(orbit)
         orbits.append(orbit)
     return tuple(orbits)
@@ -272,14 +272,14 @@ def mfs_orbit_classes(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], in
 # -- Stirling permutations ---------------------------------------------------
 
 
-def stirling_permutations(n: int, bound: int | None = None) -> Iterator[tuple[int, ...]]:
+def stirling_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Stream all Stirling permutations of order n.
 
     Built by inserting the adjacent pair (k, k) into every gap of each
     word of order k-1, which preserves the property that entries between
     the two copies of a letter exceed it.
     """
-    _check_bound(n, bound if bound is not None else stirling_bound(), "Stirling")
+    _check_bound(n, stirling_bound(), "Stirling")
 
     def gen(k: int) -> Iterator[tuple[int, ...]]:
         if k == 0:
@@ -319,13 +319,13 @@ def stirling_fap_poly(n: int) -> UniPoly:
 
 
 @lru_cache(maxsize=None)
-def motzkin2_ub_poly(n: int, bound: int | None = None) -> UniPoly:
+def motzkin2_ub_poly(n: int) -> UniPoly:
     """Sum of x^(up steps + blue level steps) over 2-Motzkin paths of length n.
 
     Dynamic program over (steps taken, height); each level step is blue
     (weight x) or red (weight 1), up steps weigh x, down steps weigh 1.
     """
-    _check_bound(n, bound if bound is not None else motzkin_bound(), "2-Motzkin")
+    _check_bound(n, motzkin_bound(), "2-Motzkin")
     heights: dict[int, UniPoly] = {0: ONE}
     for _ in range(n):
         nxt: dict[int, UniPoly] = {}
@@ -364,14 +364,14 @@ def _young2_counts(n: int) -> tuple[int, ...]:
 YOUNG_WEIGHTINGS = ("sqrt_split", "x_and_1px")
 
 
-def young2_weight_poly(n: int, weighting: str, bound: int | None = None) -> UniPoly:
+def young2_weight_poly(n: int, weighting: str) -> UniPoly:
     """Weight enumerator of balanced 2-colored 2 x n Young diagrams.
 
     "sqrt_split" gives every black cell weight sqrt(x), so a diagram with
     k black cells per row weighs x^k.  "x_and_1px" weighs black cells x
     and white cells 1+x, so the same diagram weighs x^(2k) (1+x)^(2n-2k).
     """
-    _check_bound(n, bound if bound is not None else young_bound(), "Young diagram")
+    _check_bound(n, young_bound(), "Young diagram")
     if weighting not in YOUNG_WEIGHTINGS:
         raise ValueError(f"unknown weighting {weighting!r}")
     counts = _young2_counts(n)
@@ -428,11 +428,9 @@ def _pattern_class(n: int, patterns: tuple[tuple[int, ...], ...]) -> tuple[tuple
     )
 
 
-def pattern_class_descent_poly(
-    n: int, patterns: Iterable[Sequence[int]], bound: int | None = None
-) -> UniPoly:
+def pattern_class_descent_poly(n: int, patterns: Iterable[Sequence[int]]) -> UniPoly:
     """Descent enumerator of the permutations in S_n avoiding every pattern."""
-    _check_bound(n, bound if bound is not None else pattern_bound(), "pattern avoidance")
+    _check_bound(n, pattern_bound(), "pattern avoidance")
     pats = tuple(sorted({check_perm(p) for p in patterns}))
     if any(not 1 <= len(p) <= 4 for p in pats):
         raise ValueError("patterns must have 1 to 4 letters")

@@ -1,14 +1,15 @@
 """Exact polynomial arithmetic over arbitrary-precision rationals.
 
 Two immutable value types live here and everything else in the package is
-built on top of them:
+built on top of them.  Both are dense: coefficient ``i`` is the
+coefficient of the ``i``-th power of the variable, the zero polynomial is
+the empty coefficient tuple and its ``degree`` is ``None`` (never -1
+arithmetic).  One set of ring operations, ``DensePoly``, serves both
+coefficient rings:
 
-* ``UniPoly``: dense univariate polynomial, coefficient ``i`` is the
-  coefficient of ``x**i``.  The zero polynomial is the empty coefficient
-  tuple and its ``degree`` is ``None`` (never -1 arithmetic).
+* ``UniPoly``: polynomial in ``x`` over the exact rationals.
 * ``BiPoly``: polynomial in ``t`` whose coefficients are ``UniPoly`` in
-  ``s``.  Dense in ``t``; this is all the bivariate structure the package
-  needs.
+  ``s``; this is all the bivariate structure the package needs.
 
 Scalars are exact rationals in one canonical form: an ``int`` when the
 value is an integer, else a ``fractions.Fraction`` whose denominator is
@@ -75,11 +76,6 @@ def scalar_div(a: Scalar, b: Scalar) -> Scalar:
     return as_scalar(a / b)
 
 
-def format_scalar(value: Scalar) -> str:
-    """Render ``a`` or ``a/b`` in decimal digits, the text wire format."""
-    return str(value)
-
-
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, zero outside the triangle (including n < 0)."""
     if k < 0 or n < 0 or k > n:
@@ -91,12 +87,118 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+class DensePoly:
+    """The ring operations of a dense polynomial, written once for both types.
+
+    A subclass keeps its coefficients, lowest power first and with no
+    trailing zero, in ``coeffs``.  It names its coefficient ring by the
+    class attributes ``_ZERO`` and ``_ONE`` and by ``_coerce``, which
+    turns a scalar operand into a coefficient; every operation builds its
+    result with the subclass's own constructor.
+    """
+
+    coeffs: tuple
+
+    @classmethod
+    def zero(cls) -> DensePoly:
+        return cls(())
+
+    @classmethod
+    def one(cls) -> DensePoly:
+        return cls((cls._ONE,))
+
+    @classmethod
+    def monomial(cls, k: int, c=1) -> DensePoly:
+        """c times the k-th power of the variable."""
+        if k < 0:
+            raise ValueError("monomial exponent must be >= 0")
+        return cls((cls._ZERO,) * k + (c,))
+
+    @property
+    def degree(self) -> int | None:
+        """Degree, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def coefficient(self, i: int):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self._ZERO
+
+    def leading_coefficient(self):
+        return self.coeffs[-1] if self.coeffs else self._ZERO
+
+    def __add__(self, other) -> DensePoly:
+        cls = type(self)
+        if not isinstance(other, cls):
+            other = cls((self._coerce(other),))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return cls(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> DensePoly:
+        return type(self)(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> DensePoly:
+        if not isinstance(other, type(self)):
+            other = type(self)((self._coerce(other),))
+        return self + (-other)
+
+    def __rsub__(self, other) -> DensePoly:
+        return type(self)((self._coerce(other),)) - self
+
+    def __mul__(self, other) -> DensePoly:
+        cls = type(self)
+        if not isinstance(other, cls):
+            c = self._coerce(other)
+            return cls(tuple(c * a for a in self.coeffs))
+        if not self.coeffs or not other.coeffs:
+            return cls(())
+        out = [self._ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] += a * b
+        return cls(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> DensePoly:
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
 @dataclass(init=False, frozen=True)
-class UniPoly:
+class UniPoly(DensePoly):
     """Dense univariate polynomial over Q, canonical (no trailing zeros,
     canonical scalars)."""
 
     coeffs: tuple[Scalar, ...]
+
+    _ZERO = 0
+    _ONE = 1
+    _coerce = staticmethod(as_scalar)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [c if type(c) is int else as_scalar(c) for c in coeffs]
@@ -104,29 +206,15 @@ class UniPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> UniPoly:
-        return cls((1,))
+    # perfbench's tracer wraps these through vars(UniPoly), so they are bound here
+    __add__ = __radd__ = DensePoly.__add__
+    __sub__ = DensePoly.__sub__
+    __mul__ = __rmul__ = DensePoly.__mul__
+    __pow__ = DensePoly.__pow__
 
     @classmethod
     def x(cls) -> UniPoly:
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, k: int, c: ScalarLike = 1) -> UniPoly:
-        if k < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def constant(cls, c: ScalarLike) -> UniPoly:
-        return cls((c,))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, ScalarLike]) -> UniPoly:
@@ -142,85 +230,12 @@ class UniPoly:
     def from_json(cls, items: Iterable[str]) -> UniPoly:
         return cls(tuple(parse_scalar(item) for item in items))
 
-    # -- inspection ---------------------------------------------------
-
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Scalar:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def leading_coefficient(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def min_exponent(self) -> int | None:
         """Exponent of the lowest nonzero term, or None for zero."""
         for i, c in enumerate(self.coeffs):
             if c:
                 return i
         return None
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: UniPoly | ScalarLike) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            other = UniPoly((as_scalar(other),))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: UniPoly | ScalarLike) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            other = UniPoly((as_scalar(other),))
-        return self + (-other)
-
-    def __rsub__(self, other: ScalarLike) -> UniPoly:
-        return UniPoly((as_scalar(other),)) - self
-
-    def __mul__(self, other: UniPoly | ScalarLike) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            c = as_scalar(other)
-            return UniPoly(tuple(c * a for a in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> UniPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- calculus and evaluation ----------------------------------------
 
@@ -306,10 +321,10 @@ class UniPoly:
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        return " ".join(format_scalar(c) for c in self.coeffs)
+        return " ".join(map(str, self.coeffs))
 
     def to_json(self) -> list[str]:
-        return [format_scalar(c) for c in self.coeffs]
+        return list(map(str, self.coeffs))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -361,106 +376,44 @@ def f_to_h(f: UniPoly, n: int) -> UniPoly:
 
 
 @dataclass(init=False, frozen=True)
-class BiPoly:
+class BiPoly(DensePoly):
     """Polynomial in t with UniPoly-in-s coefficients, dense in t."""
 
-    t_coeffs: tuple[UniPoly, ...]
+    coeffs: tuple[UniPoly, ...]
 
-    def __init__(self, t_coeffs: Iterable[UniPoly | ScalarLike] = ()):
-        cs = [c if isinstance(c, UniPoly) else UniPoly((as_scalar(c),)) for c in t_coeffs]
-        while cs and cs[-1].is_zero():
+    _ZERO = UniPoly.zero()
+    _ONE = ONE
+
+    @staticmethod
+    def _coerce(c: UniPoly | ScalarLike) -> UniPoly:
+        return c if isinstance(c, UniPoly) else UniPoly((as_scalar(c),))
+
+    def __init__(self, coeffs: Iterable[UniPoly | ScalarLike] = ()):
+        cs = [self._coerce(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "t_coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls) -> BiPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> BiPoly:
-        return cls((UniPoly.one(),))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
     def s(cls) -> BiPoly:
-        return cls((UniPoly.x(),))
+        return cls((X,))
 
     @classmethod
     def t(cls) -> BiPoly:
-        return cls((UniPoly.zero(), UniPoly.one()))
-
-    @classmethod
-    def t_monomial(cls, k: int, coeff: UniPoly | ScalarLike = 1) -> BiPoly:
-        if not isinstance(coeff, UniPoly):
-            coeff = UniPoly((as_scalar(coeff),))
-        return cls((UniPoly.zero(),) * k + (coeff,))
-
-    def is_zero(self) -> bool:
-        return not self.t_coeffs
-
-    def coefficient(self, j: int) -> UniPoly:
-        if 0 <= j < len(self.t_coeffs):
-            return self.t_coeffs[j]
-        return UniPoly.zero()
-
-    def __add__(self, other: BiPoly) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        a, b = self.t_coeffs, other.t_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return BiPoly(out)
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly(tuple(-c for c in self.t_coeffs))
-
-    def __sub__(self, other: BiPoly) -> BiPoly:
-        return self + (-other)
-
-    def __mul__(self, other: BiPoly | UniPoly | ScalarLike) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            if not isinstance(other, UniPoly):
-                other = UniPoly((as_scalar(other),))
-            return BiPoly(tuple(c * other for c in self.t_coeffs))
-        if self.is_zero() or other.is_zero():
-            return BiPoly.zero()
-        out = [UniPoly.zero()] * (len(self.t_coeffs) + len(other.t_coeffs) - 1)
-        for i, a in enumerate(self.t_coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.t_coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> BiPoly:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return cls.monomial(1)
 
     def substitute_s(self, value: ScalarLike) -> UniPoly:
         """Evaluate every s-coefficient at an exact rational: a UniPoly in t."""
         v = as_scalar(value)
-        return UniPoly(tuple(c.evaluate(v) for c in self.t_coeffs))
+        return UniPoly(tuple(c.evaluate(v) for c in self.coeffs))
 
     def to_json(self) -> dict:
-        return {"t_coeffs": [c.to_json() for c in self.t_coeffs]}
+        return {"t_coeffs": [c.to_json() for c in self.coeffs]}
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        return "; ".join(c.to_text() for c in self.t_coeffs)
+        return "; ".join(c.to_text() for c in self.coeffs)
 
     def __repr__(self) -> str:
-        return f"BiPoly({[c.to_text() for c in self.t_coeffs]!r})"
+        return f"BiPoly({[c.to_text() for c in self.coeffs]!r})"

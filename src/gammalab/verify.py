@@ -32,6 +32,7 @@ from . import oracles
 from . import stability as st
 from .expansions import (
     GammaExpansion,
+    _peel,
     alt_gamma_expand,
     alt_semi_gamma_decompose,
     binomial_basis_expand,
@@ -981,28 +982,7 @@ def conjecture_boros_moll(max_m: int = 20) -> VerificationReport:
     return _run("CONJ_BOROS_MOLL", "m", 1, max_m, _boros_moll_case, HOLDS)
 
 
-_ONE_PLUS_T = BiPoly((UniPoly.one(), UniPoly.one()))
-
-
-def bipoly_symmetric_in_t(poly: BiPoly, center: int) -> bool:
-    return all(
-        poly.coefficient(j) == poly.coefficient(center - j) for j in range(center // 2 + 1)
-    )
-
-
-def bipoly_gamma_in_t(poly: BiPoly, center: int) -> list[UniPoly] | None:
-    """Gamma vector of a t-symmetric BiPoly over the coefficient ring Q[s];
-    None when the peeling does not terminate at zero."""
-    rem = poly
-    out = []
-    for k in range(center // 2 + 1):
-        c = rem.coefficient(k)
-        out.append(c)
-        if not c.is_zero():
-            rem = rem - BiPoly.t_monomial(k, c) * _ONE_PLUS_T ** (center - 2 * k)
-    if not rem.is_zero():
-        return None
-    return out
+_ONE_PLUS_T = BiPoly((1, 1))
 
 
 def descent_excedance_parts(max_n: int) -> dict[int, BiPoly]:
@@ -1018,13 +998,10 @@ def descent_excedance_parts(max_n: int) -> dict[int, BiPoly]:
 
 def _des_exc_case(parts: dict[int, BiPoly], s_values: Sequence[Fraction], n: int) -> Iterator[dict]:
     a_n = parts[n]
-    if not bipoly_symmetric_in_t(a_n, n - 1):
+    if not is_symmetric(a_n, n - 1):
         yield _w("a_n not symmetric in t", n=n)
         return
-    gamma = bipoly_gamma_in_t(a_n, n - 1)
-    if gamma is None:
-        yield _w("t-gamma peeling failed", n=n)
-        return
+    gamma = _peel(a_n, lambda m: _ONE_PLUS_T**m, range(n - 1, -1, -2))
     for k, coeff in enumerate(gamma):
         if any(c < 0 for c in coeff.compose(ONE_PLUS_X).coeffs):
             yield _w(f"gamma_{k} not a nonnegative series in s-1", n=n, k=k)

@@ -158,6 +158,14 @@ def test_boros_moll_values():
         assert fam.q_poly(m) == 2**m * math.factorial(m) * fam.boros_moll(m).reverse(m)
 
 
+def test_boros_moll_matches_closed_coefficients():
+    for m in range(31):
+        poly = fam.boros_moll(m)
+        assert poly.degree == m
+        for i in range(m + 1):
+            assert poly.coefficient(i) == fam.boros_moll_coefficient(m, i)
+
+
 def test_cyclotomic_values():
     assert fam.cyclotomic(1) == UniPoly([-1, 1])
     assert fam.cyclotomic(5) == UniPoly([1, 1, 1, 1, 1])

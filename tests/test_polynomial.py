@@ -166,6 +166,70 @@ def test_bipoly_substitute_rejects_float():
         (BiPoly.s() * BiPoly.t()).substitute_s(0.5)
 
 
+def test_zero_is_falsy_and_bipoly_rejects_float_scalar():
+    assert not UniPoly.zero() and not BiPoly.zero()
+    assert UniPoly.one() and BiPoly.t()
+    with pytest.raises(TypeError):
+        BiPoly.s() * 0.5
+    with pytest.raises(TypeError):
+        BiPoly.t() + 0.5
+
+
+# BiPoly against a reference on {(t exponent, s exponent): coefficient} dicts.
+bi_terms = hs.dictionaries(hs.tuples(hs.integers(0, 3), hs.integers(0, 3)), scalars, max_size=6)
+
+
+def bi_from_terms(terms):
+    rows = {}
+    for (i, j), c in terms.items():
+        rows.setdefault(i, {})[j] = c
+    return BiPoly([UniPoly.from_counts(rows.get(i, {})) for i in range(max(rows, default=-1) + 1)])
+
+
+def bi_terms_of(p):
+    assert not p.coeffs or not p.coeffs[-1].is_zero()
+    return {(i, j): c for i, u in enumerate(p.coeffs) for j, c in enumerate(u.coeffs) if c}
+
+
+def ref_bi_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_bi_mul(a, b):
+    out = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            out[i + k, j + m] = out.get((i + k, j + m), 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(bi_terms, bi_terms, scalars, hs.integers(0, 3))
+def test_bipoly_matches_dict_reference(a, b, c, n):
+    f, g = bi_from_terms(a), bi_from_terms(b)
+    ra, rb = ref_bi_add(a, {}), ref_bi_add(b, {})
+    power = {(0, 0): 1}
+    for _ in range(n):
+        power = ref_bi_mul(power, ra)
+    pairs = [
+        (f, ra),
+        (f + g, ref_bi_add(ra, rb)),
+        (-f, {k: -v for k, v in ra.items()}),
+        (f - g, ref_bi_add(ra, {k: -v for k, v in rb.items()})),
+        (f * g, ref_bi_mul(ra, rb)),
+        (f**n, power),
+        (f * c, ref_bi_mul(ra, {(0, 0): c})),
+        (c * f, ref_bi_mul(ra, {(0, 0): c})),
+    ]
+    for got, want in pairs:
+        terms = bi_terms_of(got)
+        assert terms == want
+        assert_canonical(terms.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms(a, b, c):

@@ -39,7 +39,7 @@ def test_every_traced_name_and_id_exists():
         f"UniPoly.{attr}"
         for attrs in constants["POLY_METHODS"].values()
         for attr in attrs
-        if not callable(getattr(UniPoly, attr, None))
+        if not callable(vars(UniPoly).get(attr))
     ]
     missing += [ident for ident in constants["VERIFY_IDS"] if ident not in v.REGISTRY]
     assert constants["FUNCTIONS"] and constants["VERIFY_IDS"]

@@ -256,12 +256,34 @@ def test_conjecture_des_exc_s1_matches_excedance_distribution():
 
 def test_conjecture_des_exc_certificate_example_n3():
     parts = v.descent_excedance_parts(3)
-    gamma = v.bipoly_gamma_in_t(parts[3], 2)
+    gamma = v._peel(parts[3], lambda m: v._ONE_PLUS_T**m, range(2, -1, -2))
     assert gamma is not None
     # gamma_1 = s^2 + 2s - 1 = (s-1)^2 + 4(s-1) + 2
     assert gamma[1] == UniPoly([-1, 2, 1])
     shifted = gamma[1].compose(UniPoly([1, 1]))
     assert shifted == UniPoly([2, 4, 1])
+
+
+@pytest.mark.parametrize(
+    "extra, witness",
+    [
+        (BiPoly.s() * BiPoly.t(), {"params": {"n": 5}, "difference": "a_n not symmetric in t"}),
+        (
+            -1000 * BiPoly.t() ** 2,
+            {"params": {"n": 5, "k": 2}, "difference": "gamma_2 not a nonnegative series in s-1"},
+        ),
+        (BiPoly.t() ** 5, {"params": {"n": 5}, "difference": "DegreeTooSmall: center 4 < degree 5"}),
+    ],
+    ids=["off_center", "negative_gamma", "above_center"],
+)
+def test_negative_control_corrupted_des_exc(monkeypatch, extra, witness):
+    """Corrupt A_5(s, t): off-center in t, centered with a negative gamma_2,
+    and of t-degree above the center 4."""
+    original = fam.biv_des_exc
+    monkeypatch.setattr(fam, "biv_des_exc", lambda n: original(n) + (extra if n == 5 else 0))
+    report = v.conjecture_des_exc(6)
+    assert report.status == "fail"
+    assert report.witness == witness
 
 
 def test_conjecture_status_separated_from_pass():
