@@ -7,8 +7,9 @@ every command prints canonical JSON (sorted keys, no whitespace
 variance), so repeated runs are byte-identical.
 
 Exit codes: 0 success (an "empty" check included), 1 a check failed,
-2 usage error (including a malformed coefficient, a family index above
-``families.FAMILY_BOUND`` and an input too large for the recursion limit).
+2 usage error (including a malformed coefficient, a family index or an
+``expand --center`` above ``families.FAMILY_BOUND`` and an input too
+large for the recursion limit or for memory).
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def _cmd_expand(args) -> int:
     center = args.center
     if center is None:
         center = f.degree if not f.is_zero() else 0
+    elif center > fam.FAMILY_BOUND:
+        raise ValueError(f"center {center} exceeds the bound {fam.FAMILY_BOUND}")
     basis = args.basis
     if basis in ("gamma", "alt-gamma", "binomial-plus", "binomial-minus"):
         if basis.startswith("binomial"):
@@ -267,8 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"gammalab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        print("gammalab: input too large (recursion limit exceeded)", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        limit = "recursion limit" if isinstance(exc, RecursionError) else "memory"
+        print(f"gammalab: input too large ({limit} exceeded)", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -213,7 +213,7 @@ def alt_gamma_expand(f: UniPoly, n: int) -> GammaExpansion:
     if not is_symmetric(f, n):
         raise NotSymmetric(f"{f!r} is not symmetric about {n}")
     plus = _peel_center(f, n)
-    return GammaExpansion(n, tuple(c * (-1) ** k for k, c in enumerate(plus)), MINUS)
+    return GammaExpansion(n, tuple([c * (-1) ** k for k, c in enumerate(plus)]), MINUS)
 
 
 def _peel(f: DensePoly, power: Callable[[int], DensePoly], exponents: range) -> tuple:

@@ -136,7 +136,10 @@ class DensePoly:
     def __add__(self, other) -> DensePoly:
         cls = type(self)
         if not isinstance(other, cls):
-            other = cls((self._coerce(other),))
+            try:
+                other = cls((self._coerce(other),))
+            except TypeError:  # not in this ring: let Python try other's reflected operator
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -148,11 +151,14 @@ class DensePoly:
     __radd__ = __add__
 
     def __neg__(self) -> DensePoly:
-        return type(self)(tuple(-c for c in self.coeffs))
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other) -> DensePoly:
         if not isinstance(other, type(self)):
-            other = type(self)((self._coerce(other),))
+            try:
+                other = type(self)((self._coerce(other),))
+            except TypeError:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> DensePoly:
@@ -161,8 +167,11 @@ class DensePoly:
     def __mul__(self, other) -> DensePoly:
         cls = type(self)
         if not isinstance(other, cls):
-            c = self._coerce(other)
-            return cls(tuple(c * a for a in self.coeffs))
+            try:
+                c = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+            return cls(c * a for a in self.coeffs)
         if not self.coeffs or not other.coeffs:
             return cls(())
         out = [self._ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -224,11 +233,11 @@ class UniPoly(DensePoly):
     @classmethod
     def from_text(cls, text: str) -> UniPoly:
         """Parse the wire format: whitespace-separated rationals, low to high."""
-        return cls(tuple(parse_scalar(tok) for tok in text.split()))
+        return cls(parse_scalar(tok) for tok in text.split())
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> UniPoly:
-        return cls(tuple(parse_scalar(item) for item in items))
+        return cls(parse_scalar(item) for item in items)
 
     def min_exponent(self) -> int | None:
         """Exponent of the lowest nonzero term, or None for zero."""
@@ -240,7 +249,7 @@ class UniPoly(DensePoly):
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self) -> UniPoly:
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def evaluate(self, v: ScalarLike) -> Scalar:
         """Exact Horner evaluation."""
@@ -405,7 +414,7 @@ class BiPoly(DensePoly):
     def substitute_s(self, value: ScalarLike) -> UniPoly:
         """Evaluate every s-coefficient at an exact rational: a UniPoly in t."""
         v = as_scalar(value)
-        return UniPoly(tuple(c.evaluate(v) for c in self.coeffs))
+        return UniPoly(c.evaluate(v) for c in self.coeffs)
 
     def to_json(self) -> dict:
         return {"t_coeffs": [c.to_json() for c in self.coeffs]}

@@ -5,9 +5,17 @@ Root counting uses Sturm chains with the zero-dropping sign-variation
 convention, under which the variation count at a point equals its limit
 from the right; the count V(lo) - V(hi) is then exactly the number of
 distinct real roots in the half-open interval (lo, hi], with no endpoint
-nudging required.  Isolation is plain midpoint bisection, so refinement
-is deterministic.  Multiplicities come from a Yun squarefree
-decomposition.
+nudging required.  Multiplicities come from a Yun squarefree
+decomposition.  Only ``isolate_real_roots`` bisects, at midpoints.
+
+Interlacing locates no root (Hermite-Kakeya-Obreschkoff; N. Obreschkoff,
+Verteilung und Berechnung der Nullstellen reeller Polynome, 1963).  Once
+the common roots h = gcd(p, q) are paired off, a weak chain of roots is
+a strict chain of simple roots, so (p/h)(q/h) is squarefree; for such a
+coprime real-rooted pair the strict chain holds iff (q/p)' = W/p^2 >= 0
+between the poles, W = q'p - qp' the Wronskian.  W >= 0 on the real line
+iff W = 0, or lc(W) > 0 and no odd-multiplicity Yun factor of W has a
+real root, a Sturm count at -/+ infinity.
 
 Hurwitz verdicts follow the Hermite-Biehler criterion on the even/odd
 split f = fE(x^2) + x fO(x^2), with an independent exact Routh-array
@@ -73,6 +81,11 @@ def _variations(chain: tuple[UniPoly, ...], point: Scalar | None, positive_end: 
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _count(chain: tuple[UniPoly, ...], lo: Scalar | None, hi: Scalar | None) -> int:
+    """Distinct real roots in (lo, hi] of the squarefree head of ``chain``."""
+    return _variations(chain, lo, False) - _variations(chain, hi, True)
+
+
 def sturm_real_root_count(
     f: UniPoly, lo: Scalar | None = None, hi: Scalar | None = None
 ) -> int:
@@ -81,24 +94,15 @@ def sturm_real_root_count(
         raise ValueError("root counting needs a nonzero polynomial")
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
-    if f.degree == 0:
-        return 0
-    chain = _sturm_chain(squarefree_part(f))
-    return _variations(chain, lo, False) - _variations(chain, hi, True)
-
-
-def count_distinct_real_roots(f: UniPoly) -> int:
-    return sturm_real_root_count(f, None, None)
+    return _count(_sturm_chain(squarefree_part(f)), lo, hi)
 
 
 def is_real_rooted(f: UniPoly) -> bool:
     """True iff every complex zero of f is real (constants vacuously)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return True
     sf = squarefree_part(f)
-    return count_distinct_real_roots(f) == sf.degree
+    return _count(_sturm_chain(sf), None, None) == sf.degree
 
 
 def cauchy_root_bound(f: UniPoly) -> Scalar:
@@ -133,16 +137,10 @@ def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
 
 def _isolate_squarefree(g: UniPoly) -> list[tuple[Scalar, Scalar]]:
     """Disjoint half-open intervals (lo, hi], one distinct root each."""
-    if g.degree == 0:
-        return []
     chain = _sturm_chain(g)
-
-    def var(point: Scalar) -> int:
-        return _variations(chain, point, True)
-
     bound = cauchy_root_bound(g)
     out: list[tuple[Scalar, Scalar]] = []
-    stack = [(-bound, bound, var(-bound) - var(bound))]
+    stack = [(-bound, bound, _count(chain, -bound, bound))]
     while stack:
         lo, hi, count = stack.pop()
         if count == 0:
@@ -151,7 +149,7 @@ def _isolate_squarefree(g: UniPoly) -> list[tuple[Scalar, Scalar]]:
             out.append((lo, hi))
             continue
         mid = scalar_div(lo + hi, 2)
-        left = var(lo) - var(mid)
+        left = _count(chain, lo, mid)
         stack.append((lo, mid, left))
         stack.append((mid, hi, count - left))
     out.sort()
@@ -175,8 +173,6 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
     """Isolate the distinct real roots of f with their multiplicities."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return RootIsolation(())
     intervals = _isolate_squarefree(squarefree_part(f))
     mults = _multiplicities(f, intervals)
     return RootIsolation(tuple((lo, hi, m) for (lo, hi), m in zip(intervals, mults)))
@@ -184,18 +180,8 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
 
 def _multiplicities(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
     """Multiplicity of the root of p in each isolating interval (0 if none)."""
-    factors = yun_decomposition(p)
-    return [
-        sum(i for g, i in factors if g.degree and sturm_real_root_count(g, lo, hi) == 1)
-        for lo, hi in intervals
-    ]
-
-
-def _root_ordinals(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
-    """Roots of p with multiplicity, encoded as ordinals of the shared
-    isolating intervals, ascending.  Equal ordinals mean equal roots."""
-    mults = _multiplicities(p, intervals)
-    return [idx for idx, m in enumerate(mults) for _ in range(m)]
+    chains = [(_sturm_chain(g), i) for g, i in yun_decomposition(p)]
+    return [sum(i for chain, i in chains if _count(chain, lo, hi) == 1) for lo, hi in intervals]
 
 
 def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
@@ -204,6 +190,7 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
     "interlaces": deg q = deg p + 1 and theta_1 <= xi_1 <= theta_2 <= ...
     "alternates_left": equal degrees and xi_1 <= theta_1 <= xi_2 <= ...
     Common roots count as coincident pairs, satisfying the weak chain.
+    Decided by the Wronskian sign test of the module docstring.
     """
     _require_standard(p, "p")
     _require_standard(q, "q")
@@ -218,18 +205,17 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
         target = ALTERNATES_LEFT
     else:
         return NEITHER
-    if dp == 0 and dq == 0:
-        return ALTERNATES_LEFT
-    intervals = _isolate_squarefree(squarefree_part(p * q))
-    xs = _root_ordinals(p, intervals)
-    ths = _root_ordinals(q, intervals)
-    if target == INTERLACES:
-        ok = all(ths[k] <= xs[k] <= ths[k + 1] for k in range(dp))
-    else:
-        ok = all(xs[k] <= ths[k] for k in range(dp)) and all(
-            ths[k] <= xs[k + 1] for k in range(dp - 1)
-        )
-    return target if ok else NEITHER
+    h = poly_gcd(p, q)
+    p, q = p.exact_div(h), q.exact_div(h)
+    pq = p * q
+    if poly_gcd(pq, pq.derivative()).degree:
+        return NEITHER
+    w = q.derivative() * p - q * p.derivative()
+    nonnegative = w.is_zero() or (
+        w.leading_coefficient() > 0
+        and not any(_count(_sturm_chain(g), None, None) for g, i in yun_decomposition(w) if i % 2)
+    )
+    return target if nonnegative else NEITHER
 
 
 @dataclass(frozen=True)

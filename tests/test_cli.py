@@ -203,6 +203,26 @@ def test_recursion_error_is_a_one_line_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "gammalab: input too large (recursion limit exceeded)\n"
 
 
+def test_memory_error_is_a_one_line_usage_error(capsys, monkeypatch):
+    def exhausted(family, n):
+        raise MemoryError
+
+    monkeypatch.setattr(fam, "generate", exhausted)
+    assert cli.main(["family", "eulerian_a", "--n", "3"]) == 2
+    assert capsys.readouterr().err == "gammalab: input too large (memory exceeded)\n"
+
+
+@pytest.mark.parametrize(
+    "basis", ["gamma", "alt-gamma", "binomial-plus", "binomial-minus", "symmetric", "classify"]
+)
+def test_a_center_above_the_bound_is_a_usage_error(capsys, basis):
+    center = 10**15
+    assert cli.main(["expand", "--basis", basis, "--poly", "1", "--center", str(center)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gammalab: center {center} exceeds the bound {fam.FAMILY_BOUND}\n"
+
+
 @pytest.mark.parametrize(
     "env, argv",
     [

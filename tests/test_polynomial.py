@@ -175,6 +175,15 @@ def test_zero_is_falsy_and_bipoly_rejects_float_scalar():
         BiPoly.t() + 0.5
 
 
+def test_mixed_uni_bi_operators_work_in_both_orders():
+    u, t = UniPoly([1, 1]), BiPoly.t()
+    assert u * t == t * u == BiPoly([0, u])
+    assert u + t == t + u == BiPoly([u, 1])
+    assert u - t == -(t - u) == BiPoly([u, -1])
+    with pytest.raises(TypeError):
+        UniPoly([1]) * 1.5
+
+
 # BiPoly against a reference on {(t exponent, s exponent): coefficient} dicts.
 bi_terms = hs.dictionaries(hs.tuples(hs.integers(0, 3), hs.integers(0, 3)), scalars, max_size=6)
 

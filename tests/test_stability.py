@@ -5,7 +5,7 @@ import pytest
 
 from gammalab import families as fam
 from gammalab import stability as st
-from gammalab.polynomial import UniPoly
+from gammalab.polynomial import UniPoly, squarefree_part
 
 ONE = UniPoly.one()
 X = UniPoly.x()
@@ -70,6 +70,65 @@ def test_interlacing_constant_base_case():
     assert st.interlacing_relation(UniPoly([3]), UniPoly([7])) == "alternates_left"
 
 
+def reference_interlacing(p, q):
+    """Interlacing the long way: isolate the distinct roots of p*q once,
+    write each root list (with multiplicity, ascending) as ordinals of
+    those shared intervals, so equal ordinals mean equal roots, and
+    compare the weak chains directly."""
+    dp, dq = p.degree, q.degree
+    if dq not in (dp, dp + 1):
+        return "neither"
+    intervals = st._isolate_squarefree(squarefree_part(p * q))
+    xs, ths = (
+        [k for k, m in enumerate(st._multiplicities(f, intervals)) for _ in range(m)]
+        for f in (p, q)
+    )
+    if dq == dp + 1:
+        ok = all(ths[k] <= xs[k] <= ths[k + 1] for k in range(dp))
+        return "interlaces" if ok else "neither"
+    ok = all(xs[k] <= ths[k] for k in range(dp)) and all(
+        ths[k] <= xs[k + 1] for k in range(dp - 1)
+    )
+    return "alternates_left" if ok else "neither"
+
+
+def _random_real_rooted_pair(rng):
+    """Rational roots from a small pool, so shared and repeated roots are
+    common; deg q - deg p is 0, 1 or 2."""
+    pool = [Fraction(k, 2) for k in range(-6, 3)]
+    dp = rng.randint(0, 4)
+    dq = dp + rng.randint(0, 2)
+    shared = [rng.choice(pool) for _ in range(rng.randint(0, min(dp, 2)))]
+
+    def build(deg):
+        f = UniPoly([Fraction(rng.randint(1, 4), rng.randint(1, 3))])
+        for r in shared + [rng.choice(pool) for _ in range(deg - len(shared))]:
+            f = f * UniPoly([-r, 1])
+        return f
+
+    return build(dp), build(dq)
+
+
+def test_wronskian_interlacing_matches_the_root_ordering_reference():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(1000):
+        p, q = _random_real_rooted_pair(rng)
+        relation = st.interlacing_relation(p, q)
+        assert relation == reference_interlacing(p, q), (p, q)
+        seen.add(relation)
+    assert seen == {"neither", "interlaces", "alternates_left"}
+
+
+def test_nonnegative_wronskian_without_squarefree_reduced_pair_is_neither():
+    # W = q'p - qp' = (x^2 + 2x + 3/2)(x + 3/2)^2(x + 2)^2 >= 0 on the real
+    # line, yet the roots -2, -2, -2, -1 and -3/2 (three times) do not
+    # interlace: the squarefree test on (p/h)(q/h) must reject the pair.
+    p = UniPoly([Fraction(3, 2), 1]) ** 3
+    q = UniPoly([2, 1]) ** 3 * UniPoly([1, 1])
+    assert st.interlacing_relation(p, q) == reference_interlacing(p, q) == "neither"
+
+
 def test_hurwitz_examples():
     assert st.hurwitz_classify(UniPoly([1, 3, 4, 3, 1])).status == "stable"
     assert st.hurwitz_classify(UniPoly([-1, 1])).status == "unstable"  # zero at +1
@@ -80,6 +139,40 @@ def test_hurwitz_examples():
         st.hurwitz_classify(UniPoly([1, -1]))
     with pytest.raises(st.NotStandard):
         st.hurwitz_classify(UniPoly.zero())
+
+
+_PARTS = "even/odd parts real-rooted with nonpositive zeros, odd part "
+_SHARED = "; even and odd parts share a factor"
+_ORIGIN = "; zero at the origin"
+_AXIS = " part is nonzero: every zero lies on the imaginary axis"
+
+
+CERTIFICATES = [
+    ("1", "stable", "positive constant, no zeros"),
+    ("1 1", "stable", _PARTS + "alternates_left even part; f(0) nonzero and parts coprime"),
+    ("1 1 1", "stable", _PARTS + "interlaces even part; f(0) nonzero and parts coprime"),
+    ("-2 0 1", "unstable", "even part has a positive zero"),
+    ("1 -2 -2 1 2", "unstable", "even part not real-rooted"),
+    ("-2 1", "unstable", "even part not standard"),
+    ("0 -2 0 1", "unstable", "odd part has a positive zero"),
+    ("1 1 0 0 0 1", "unstable", "odd part not real-rooted"),
+    ("1 0 0 1", "unstable", "odd part neither interlaces nor alternates left of even part"),
+    ("-2 -2 1", "unstable", "odd part not standard"),
+    ("1 1 1 1", "weakly_stable_only", _PARTS + "alternates_left even part" + _SHARED),
+    ("0 0 1 1", "weakly_stable_only", _PARTS + "alternates_left even part" + _ORIGIN),
+    ("1 1 2 1 1", "weakly_stable_only", _PARTS + "interlaces even part" + _SHARED),
+    ("0 1 1", "weakly_stable_only", _PARTS + "interlaces even part" + _ORIGIN),
+    ("0 0 1", "weakly_stable_only", "only the even" + _AXIS),
+    ("0 1", "weakly_stable_only", "only the odd" + _AXIS),
+]
+
+
+@pytest.mark.parametrize(
+    "text, status, certificate", CERTIFICATES, ids=[row[0] for row in CERTIFICATES]
+)
+def test_every_hurwitz_certificate(text, status, certificate):
+    verdict = st.hurwitz_classify(UniPoly.from_text(text))
+    assert verdict.to_json() == {"status": status, "certificate": certificate}
 
 
 def test_hurwitz_weak_cases():
