@@ -8,8 +8,9 @@ variance), so repeated runs are byte-identical.
 
 Exit codes: 0 success (an "empty" check included), 1 a check failed,
 2 usage error (including a malformed coefficient, a family index or an
-``expand --center`` above ``families.FAMILY_BOUND`` and an input too
-large for the recursion limit or for memory).
+``expand --center`` above ``families.FAMILY_BOUND`` or, for the two
+half-square bases, other than the framing degree 2n + nu, and an input
+too large for the recursion limit or for memory).
 """
 
 from __future__ import annotations
@@ -138,35 +139,38 @@ def _cmd_expand(args) -> int:
             exp = (gamma_expand if basis == "gamma" else alt_gamma_expand)(f, center)
         human = f"n={center} sign={exp.sign} coeffs: " + " ".join(map(str, exp.coeffs))
         _emit(exp.to_json(), args.json, human)
-    elif basis == "semi-gamma":
-        dec = semi_gamma_decompose(f)
-        payload = {
-            "nu": dec.nu,
-            "n": dec.center,
-            "lambda": [str(c) for c in dec.lam],
-            "f1": dec.f1.to_json(),
-            "f2": dec.f2.to_json(),
-        }
-        human = (
-            f"nu={dec.nu} n={dec.center} lambda: "
-            + " ".join(map(str, dec.lam))
-            + f" | f1: {dec.f1.to_text()} | f2: {dec.f2.to_text()}"
-        )
-        _emit(payload, args.json, human)
-    elif basis == "alt-semi-gamma":
-        dec = alt_semi_gamma_decompose(f)
-        payload = {
-            "nu": dec.nu,
-            "n": dec.center,
-            "xi": [str(c) for c in dec.xi],
-            "zeta": [str(c) for c in dec.zeta],
-        }
-        human = (
-            f"nu={dec.nu} n={dec.center} xi: "
-            + " ".join(map(str, dec.xi))
-            + " | zeta: "
-            + " ".join(map(str, dec.zeta))
-        )
+    elif basis in ("semi-gamma", "alt-semi-gamma"):
+        semi = basis == "semi-gamma"
+        dec = (semi_gamma_decompose if semi else alt_semi_gamma_decompose)(f)
+        framing = 2 * dec.center + dec.nu
+        if args.center not in (None, framing):
+            raise ValueError(f"center {args.center} is not the framing degree 2n+nu = {framing}")
+        if semi:
+            payload = {
+                "nu": dec.nu,
+                "n": dec.center,
+                "lambda": [str(c) for c in dec.lam],
+                "f1": dec.f1.to_json(),
+                "f2": dec.f2.to_json(),
+            }
+            human = (
+                f"nu={dec.nu} n={dec.center} lambda: "
+                + " ".join(map(str, dec.lam))
+                + f" | f1: {dec.f1.to_text()} | f2: {dec.f2.to_text()}"
+            )
+        else:
+            payload = {
+                "nu": dec.nu,
+                "n": dec.center,
+                "xi": [str(c) for c in dec.xi],
+                "zeta": [str(c) for c in dec.zeta],
+            }
+            human = (
+                f"nu={dec.nu} n={dec.center} xi: "
+                + " ".join(map(str, dec.xi))
+                + " | zeta: "
+                + " ".join(map(str, dec.zeta))
+            )
         _emit(payload, args.json, human)
     elif basis == "symmetric":
         dec = symmetric_decomposition(f, center)

@@ -19,6 +19,11 @@ Every division goes through ``scalar_div``, because ``/`` on two ints
 gives a float.  Floating point is rejected on input: every claim
 checked downstream is an exact sign or coefficient statement and a
 tolerance would corrupt it.
+
+``poly_gcd`` and ``squarefree_part`` run over Z by the primitive PRS of
+Collins (J. ACM 14, 1967) and Brown-Traub (J. ACM 18, 1971): each
+pseudo-remainder scales by a positive integer, so it is a positive
+multiple of the remainder over Q, and only the result is made monic.
 """
 
 from __future__ import annotations
@@ -348,14 +353,42 @@ ONE_PLUS_X = UniPoly((1, 1))
 ONE_MINUS_X = UniPoly((1, -1))
 
 
+def _primitive(f: UniPoly) -> UniPoly:
+    """The coprime integer coefficients of a positive rational multiple of f."""
+    den = math.lcm(*[c.denominator for c in f.coeffs if type(c) is not int])
+    ints = [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = math.gcd(*ints)
+    return UniPoly([c // g for c in ints] if g > 1 else ints)
+
+
+def _prem(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Primitive part of a pseudo-remainder of integer a by b with a positive multiplier."""
+    lc, n = b.coeffs[-1], len(b.coeffs)
+    rem = list(a.coeffs)
+    while len(rem) >= n:
+        top = rem.pop()
+        if top:
+            g = math.gcd(top, lc)
+            m, c = abs(lc) // g, (top if lc > 0 else -top) // g
+            if m != 1:
+                rem = [m * r for r in rem]
+            for i, x in zip(range(len(rem) + 1 - n, len(rem)), b.coeffs):
+                rem[i] -= c * x
+    return _primitive(UniPoly(rem))
+
+
+def _primitive_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """A primitive gcd of two primitive integer polynomials (primitive PRS)."""
+    while b:
+        a, b = b, _prem(a, b)
+    return a
+
+
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor: primitive Euclid over Z, made monic at the end."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+    return _primitive_gcd(_primitive(f), _primitive(g)).monic()
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -364,7 +397,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         raise ValueError("zero polynomial has no squarefree part")
     if f.degree == 0:
         return UniPoly.one()
-    return f.exact_div(poly_gcd(f, f.derivative())).monic()
+    p = _primitive(f)
+    return p.exact_div(_primitive_gcd(p, _primitive(p.derivative()))).monic()
 
 
 def basis_sum(base: UniPoly, terms: Iterable[tuple[ScalarLike, int, int]]) -> UniPoly:

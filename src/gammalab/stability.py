@@ -8,6 +8,11 @@ distinct real roots in the half-open interval (lo, hi], with no endpoint
 nudging required.  Multiplicities come from a Yun squarefree
 decomposition.  Only ``isolate_real_roots`` bisects, at midpoints.
 
+Chains, gcds and Yun factors run over Z on the primitive pseudo-remainders
+of ``polynomial`` (Collins 1967, Brown-Traub 1971): each chain member is a
+positive multiple of the rational one, so no sign or count changes.
+``routh_stable`` stays rational: it is the independent cross-check.
+
 Interlacing locates no root (Hermite-Kakeya-Obreschkoff; N. Obreschkoff,
 Verteilung und Berechnung der Nullstellen reeller Polynome, 1963).  Once
 the common roots h = gcd(p, q) are paired off, a weak chain of roots is
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 from .expansions import hermite_biehler_split
 from .polynomial import Scalar, UniPoly, poly_gcd, scalar_div, squarefree_part
+from .polynomial import _prem, _primitive, _primitive_gcd
 
 INTERLACES = "interlaces"
 ALTERNATES_LEFT = "alternates_left"
@@ -56,24 +62,23 @@ def _require_standard(f: UniPoly, name: str = "input") -> None:
 
 
 def _sturm_chain(g: UniPoly) -> tuple[UniPoly, ...]:
-    chain = [g, g.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-divmod(chain[-2], chain[-1])[1])
+    """Integer Sturm chain: each member a positive multiple of the rational one."""
+    chain = [_primitive(g), _primitive(g.derivative())]
+    while chain[-1]:
+        chain.append(-_prem(chain[-2], chain[-1]))
     chain.pop()
     return tuple(chain)
 
 
 def _sign_at(p: UniPoly, point: Scalar | None, positive_end: bool) -> int:
-    if p.is_zero():
-        return 0
+    """Sign of integer p at -/+ infinity (point None), else at a/b: that of b^deg p(a/b)."""
     if point is None:
-        lc = p.leading_coefficient()
-        if positive_end:
-            return 1 if lc > 0 else -1
-        sign = lc if p.degree % 2 == 0 else -lc
-        return 1 if sign > 0 else -1
-    v = p.evaluate(point)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+        v = p.coeffs[-1] if positive_end or p.degree % 2 == 0 else -p.coeffs[-1]
+    else:
+        v, w = 0, 1
+        for c in reversed(p.coeffs):
+            v, w = v * point.numerator + c * w, w * point.denominator
+    return (v > 0) - (v < 0)
 
 
 def _variations(chain: tuple[UniPoly, ...], point: Scalar | None, positive_end: bool) -> int:
@@ -117,20 +122,19 @@ def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return ()
-    f = f.monic()
-    a = poly_gcd(f, f.derivative())
+    # b and d carry one common scale, so d stays a multiple of Yun's d
+    f = _primitive(f)
+    a = _primitive_gcd(f, _primitive(f.derivative()))
     b = f.exact_div(a)
-    c = f.derivative().exact_div(a)
-    d = c - b.derivative()
+    d = f.derivative().exact_div(a) - b.derivative()
     out = []
     i = 1
     while b.degree:
-        a = poly_gcd(b, d) if not d.is_zero() else b.monic()
+        a = _primitive_gcd(b, _primitive(d))
         if a.degree:
-            out.append((a, i))
+            out.append((a.monic(), i))
         b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative()
+        d = d.exact_div(a) - b.derivative()
         i += 1
     return tuple(out)
 
@@ -175,7 +179,7 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
         raise ValueError("zero polynomial")
     intervals = _isolate_squarefree(squarefree_part(f))
     mults = _multiplicities(f, intervals)
-    return RootIsolation(tuple((lo, hi, m) for (lo, hi), m in zip(intervals, mults)))
+    return RootIsolation(tuple([(lo, hi, m) for (lo, hi), m in zip(intervals, mults)]))
 
 
 def _multiplicities(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
@@ -198,6 +202,11 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
         raise NotRealRooted("p is not real-rooted")
     if not is_real_rooted(q):
         raise NotRealRooted("q is not real-rooted")
+    return _wronskian_relation(p, q)
+
+
+def _wronskian_relation(p: UniPoly, q: UniPoly) -> str:
+    """interlacing_relation for standard real-rooted p and q."""
     dp, dq = p.degree, q.degree
     if dq == dp + 1:
         target = INTERLACES
@@ -205,7 +214,8 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
         target = ALTERNATES_LEFT
     else:
         return NEITHER
-    h = poly_gcd(p, q)
+    p, q = _primitive(p), _primitive(q)
+    h = _primitive_gcd(p, q)  # W = q'p - qp' keeps its sign: both quotients share h's sign
     p, q = p.exact_div(h), q.exact_div(h)
     pq = p * q
     if poly_gcd(pq, pq.derivative()).degree:
@@ -268,7 +278,7 @@ def hurwitz_classify(f: UniPoly) -> HurwitzVerdict:
         clause = _nonpositive_real_rooted(part)
         if clause is not None:
             return HurwitzVerdict(UNSTABLE, f"{side} part {clause}")
-    relation = interlacing_relation(f_odd, f_even)
+    relation = _wronskian_relation(f_odd, f_even)
     if relation == NEITHER:
         return HurwitzVerdict(
             UNSTABLE, "odd part neither interlaces nor alternates left of even part"

@@ -244,3 +244,19 @@ def test_a_bound_with_one_case_still_passes(capsys):
     for argv in (["ANXBNX", "--bound", "0"], ["FOATA", "--bound", "1"], ["ND_ALT", "--bound", "2"]):
         code, out = run(capsys, "verify", *argv, "--json")
         assert code == 0 and json.loads(out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("basis", ["semi-gamma", "alt-semi-gamma"])
+def test_a_half_square_center_must_be_the_framing_degree(capsys, basis):
+    argv = ["expand", "--basis", basis, "--poly", "1 57 302 302 57 1", "--json"]
+    code, plain = run(capsys, *argv)
+    assert code == 0
+    dec = json.loads(plain)
+    framing = 2 * dec["n"] + dec["nu"]
+    assert framing == 5
+    code, matched = run(capsys, *argv, "--center", str(framing))
+    assert code == 0 and matched == plain
+    assert cli.main(argv + ["--center", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gammalab: center 7 is not the framing degree 2n+nu = 5\n"

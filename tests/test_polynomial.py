@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as hs
 from gammalab.polynomial import (
     BiPoly,
     DegreeTooSmall,
+    _prem,
+    _primitive,
     NotDivisible,
     UniPoly,
     as_scalar,
@@ -365,3 +368,28 @@ def test_matches_all_fraction_reference(a, b, v):
     value = f.evaluate(v)
     assert value == ref_evaluate(fa, v)
     assert not isinstance(value, float)
+
+
+@given(polys)
+def test_primitive_form_is_a_coprime_positive_multiple(f):
+    p = _primitive(f)
+    assert all(type(c) is int for c in p.coeffs)
+    if f.is_zero():
+        assert p.is_zero()
+        return
+    assert math.gcd(*p.coeffs) == 1
+    scale = Fraction(p.leading_coefficient()) / f.leading_coefficient()
+    assert scale > 0 and p == f * scale
+
+
+@given(small_polys, small_polys)
+def test_integer_pseudo_remainder_is_a_positive_multiple_of_the_remainder(a, b):
+    if b.is_zero():
+        return
+    r, p = divmod(a, b)[1], _prem(a, b)
+    assert all(type(c) is int for c in p.coeffs)
+    if r.is_zero():
+        assert p.is_zero()
+        return
+    scale = Fraction(p.leading_coefficient()) / r.leading_coefficient()
+    assert scale > 0 and p == r * scale and math.gcd(*p.coeffs) == 1

@@ -1,6 +1,7 @@
-"""The package source keeps two contracts a run cannot show: no ``assert``
-statement, because ``python -O`` strips them, and no import from outside
-the standard library and the package itself."""
+"""The package source keeps contracts a run cannot show: no ``assert``
+statement, because ``python -O`` strips them; no import from outside
+the standard library and the package itself; and, in the arithmetic
+modules, no tuple built from a generator."""
 
 import ast
 import sys
@@ -36,3 +37,23 @@ def test_source_imports_only_the_standard_library_and_the_package():
             if top != "gammalab" and top not in sys.stdlib_module_names:
                 found.append(f"{name}:{node.lineno}: {module}")
     assert SOURCES and not found, found
+
+
+def test_arithmetic_modules_build_no_tuple_from_a_generator():
+    """``tuple(<generator>)`` and ``f(*<generator>)`` size the tuple at a
+    length hint of 10 and then resize it, so every call moves a block onto
+    the tuple free list of its final size; those lists fill over repeated
+    calls and resident memory grows.  Build such tuples from a list."""
+    found = []
+    for name, node in _nodes():
+        if name not in ("polynomial.py", "stability.py"):
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)
+        ) or (isinstance(node, ast.Starred) and isinstance(node.value, ast.GeneratorExp)):
+            found.append(f"{name}:{node.lineno}")
+    assert not found, found

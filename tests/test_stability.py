@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from gammalab import families as fam
 from gammalab import stability as st
-from gammalab.polynomial import UniPoly, squarefree_part
+from gammalab.polynomial import UniPoly, poly_gcd, squarefree_part
 
 ONE = UniPoly.one()
 X = UniPoly.x()
@@ -276,3 +277,143 @@ def test_routh_hurwitz_agreement_random():
         assert (routh == "stable") == (hurwitz == "stable"), f.to_text()
         checked += 1
     assert checked > 100
+
+
+# -- rational references for the integer path ----------------------------------
+
+
+def reference_gcd(f, g):
+    """Monic gcd by Euclid over Q."""
+    a, b = f, g
+    while b:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+def reference_squarefree(f):
+    if f.degree == 0:
+        return ONE
+    return f.exact_div(reference_gcd(f, f.derivative())).monic()
+
+
+def reference_chain(g):
+    """Sturm chain over Q: g, g', then negated remainders."""
+    chain = [g, g.derivative()]
+    while chain[-1]:
+        chain.append(-divmod(chain[-2], chain[-1])[1])
+    chain.pop()
+    return chain
+
+
+def reference_count(f, lo, hi):
+    """Distinct real roots in (lo, hi] from the rational chain, signs by evaluate."""
+    chain = reference_chain(reference_squarefree(f))
+
+    def variations(point, positive_end):
+        signs = []
+        for p in chain:
+            if point is None:
+                v = p.leading_coefficient() * (1 if positive_end or p.degree % 2 == 0 else -1)
+            else:
+                v = p.evaluate(point)
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo, False) - variations(hi, True)
+
+
+def reference_yun(f):
+    """Yun's squarefree decomposition over Q."""
+    if f.degree == 0:
+        return ()
+    f = f.monic()
+    a = reference_gcd(f, f.derivative())
+    b = f.exact_div(a)
+    d = f.derivative().exact_div(a) - b.derivative()
+    out = []
+    i = 1
+    while b.degree:
+        a = reference_gcd(b, d) if d else b.monic()
+        if a.degree:
+            out.append((a, i))
+        b = b.exact_div(a)
+        d = d.exact_div(a) - b.derivative()
+        i += 1
+    return tuple(out)
+
+
+ROOT_POOL = [Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)]
+
+
+def _random_rational(rng):
+    """A rational multiple (either sign) of real roots from ROOT_POOL with
+    multiplicities up to 3, sometimes times an irreducible quadratic."""
+    f = UniPoly([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))])
+    for _ in range(rng.randint(0, 4)):
+        f = f * UniPoly([-rng.choice(ROOT_POOL), 1]) ** rng.randint(1, 3)
+    if rng.random() < 0.4:
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        f = f * UniPoly([b * b + Fraction(1, rng.randint(1, 4)), 2 * b, 1])  # (x+b)^2 + c
+    return f
+
+
+def typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+def test_integer_sturm_counts_match_the_rational_chain():
+    rng = random.Random(13)
+    for _ in range(300):
+        f = _random_rational(rng)
+        assert st.is_real_rooted(f) == (reference_count(f, None, None) == reference_squarefree(f).degree)
+        ends = [None] + ROOT_POOL + [Fraction(rng.randint(-50, 50), rng.randint(1, 7))]
+        for _ in range(4):
+            lo, hi = rng.choice(ends), rng.choice(ends)
+            if lo is not None and hi is not None and not lo < hi:
+                continue
+            assert st.sturm_real_root_count(f, lo, hi) == reference_count(f, lo, hi), (f, lo, hi)
+
+
+def test_integer_chain_members_are_positive_multiples_of_the_rational_chain():
+    rng = random.Random(14)
+    for _ in range(200):
+        g = reference_squarefree(_random_rational(rng))
+        chain, reference = st._sturm_chain(g), reference_chain(g)
+        assert len(chain) == len(reference)
+        for member, rational in zip(chain, reference):
+            assert all(type(c) is int for c in member.coeffs)
+            scale = Fraction(member.leading_coefficient()) / rational.leading_coefficient()
+            assert scale > 0 and member == rational * scale, (g, member, rational)
+
+
+def test_gcd_squarefree_and_yun_match_the_rational_reference():
+    rng = random.Random(15)
+    for _ in range(300):
+        f, g = _random_rational(rng), _random_rational(rng)
+        if rng.random() < 0.5:
+            shared = _random_rational(rng)
+            f, g = f * shared, g * shared
+        assert typed(poly_gcd(f, g)) == typed(reference_gcd(f, g)), (f, g)
+        assert typed(squarefree_part(f)) == typed(reference_squarefree(f)), f
+        yun, reference = st.yun_decomposition(f), reference_yun(f)
+        assert [(typed(a), i) for a, i in yun] == [(typed(a), i) for a, i in reference], f
+
+
+def test_repeated_hurwitz_calls_do_not_grow_traced_memory():
+    # A tuple built from a generator leaves a block on the tuple free list of
+    # its final size on every call; those lists fill over repeated calls.
+    f = ONE
+    for k in range(1, 17):
+        f = f * UniPoly([Fraction(k, k % 5 + 2), 1])
+    assert st.hurwitz_classify(f).status == "stable"
+    tracemalloc.start()
+    try:
+        st.hurwitz_classify(f)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            st.hurwitz_classify(f)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024, grown
