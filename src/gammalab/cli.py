@@ -7,10 +7,11 @@ every command prints canonical JSON (sorted keys, no whitespace
 variance), so repeated runs are byte-identical.
 
 Exit codes: 0 success (an "empty" check included), 1 a check failed,
-2 usage error (including a malformed coefficient, a family index or an
-``expand --center`` above ``families.FAMILY_BOUND`` or, for the two
-half-square bases, other than the framing degree 2n + nu, and an input
-too large for the recursion limit or for memory).
+2 usage error (including a malformed coefficient, a ``family --n``,
+``stability --family mn-combination --n`` or ``expand --center`` above
+``families.FAMILY_BOUND`` or, for the two half-square bases, a center
+other than the framing degree 2n + nu, and an input too large for the
+recursion limit or for memory).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _cmd_expand(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.oracle_command == "stats":
         return _emit_poly(oracles.stat_polynomial(args.n, args.weight), args.json)
-    perm = tuple(int(tok) for tok in args.perm.split(","))
+    perm = tuple([int(tok) for tok in args.perm.split(",")])
     orbit = sorted(oracles.mfs_orbit(perm))
     des_poly = UniPoly.from_counts(Counter(oracles.perm_stats(sigma).des for sigma in orbit))
     payload = {
@@ -209,6 +210,8 @@ def _cmd_stability(args) -> int:
         if args.n is None:
             print("stability: --family requires --n", file=sys.stderr)
             return EXIT_USAGE
+        if args.n > fam.FAMILY_BOUND:
+            raise ValueError(f"family index {args.n} exceeds the bound {fam.FAMILY_BOUND}")
         f = fam.mn_combination(args.n)
     verdict = st.hurwitz_classify(f)
     _emit(verdict.to_json(), args.json, f"{verdict.status}: {verdict.certificate}")
@@ -241,7 +244,7 @@ def _cmd_conjecture(args) -> int:
     if args.conjecture_command == "boros-moll":
         report = verify.conjecture_boros_moll(args.max_m)
     else:
-        s_values = tuple(parse_scalar(s) for s in (args.s or ["1", "3/2", "2"]))
+        s_values = tuple([parse_scalar(s) for s in (args.s or ["1", "3/2", "2"])])
         report = verify.conjecture_des_exc(args.max_n, s_values)
     if args.json:
         print(canonical_json(report.to_json()))

@@ -254,8 +254,10 @@ def _spread(gamma: GammaExpansion, r: int, name: str) -> tuple[Scalar, ...]:
         raise ValueError(f"{name} is defined from a plus-sign gamma vector")
     n, g = gamma.center_degree, gamma.coeffs
     return tuple(
-        sum(binom(n - 2 * i, k - 2 * i) * r ** (k - 2 * i) * g[i] for i in range(k // 2 + 1))
-        for k in range(n + 1)
+        [
+            sum(binom(n - 2 * i, k - 2 * i) * r ** (k - 2 * i) * g[i] for i in range(k // 2 + 1))
+            for k in range(n + 1)
+        ]
     )
 
 

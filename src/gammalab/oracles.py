@@ -173,7 +173,7 @@ def stat_polynomial(n: int, weight: str) -> UniPoly | BiPoly:
 def gamma_count_vector(n: int) -> tuple[int, ...]:
     """#{pi in S_n : pk = k, ddes = 0} for k = 0..(n-1)//2."""
     poly = stat_polynomial(n, "gamma")
-    return tuple(int(poly.coefficient(k)) for k in range((n - 1) // 2 + 1))
+    return tuple([int(poly.coefficient(k)) for k in range((n - 1) // 2 + 1)])
 
 
 # -- modified Foata-Strehl action -------------------------------------------
@@ -390,7 +390,7 @@ def young2_count(n: int) -> int:
 def _standardize(word: Sequence[int]) -> tuple[int, ...]:
     """The permutation of 1..len(word) in the relative order of ``word``."""
     ranks = sorted(word)
-    return tuple(ranks.index(u) + 1 for u in word)
+    return tuple([ranks.index(u) + 1 for u in word])
 
 
 def contains_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -420,11 +420,13 @@ def _pattern_class(n: int, patterns: tuple[tuple[int, ...], ...]) -> tuple[tuple
     if n == 0:
         return ((),)
     return tuple(
-        word
-        for shorter in _pattern_class(n - 1, patterns)
-        for pos in range(n)
-        for word in (shorter[:pos] + (n,) + shorter[pos:],)
-        if not any(_occurs_through(word, pos, p) for p in patterns)
+        [
+            word
+            for shorter in _pattern_class(n - 1, patterns)
+            for pos in range(n)
+            for word in (shorter[:pos] + (n,) + shorter[pos:],)
+            if not any(_occurs_through(word, pos, p) for p in patterns)
+        ]
     )
 
 

@@ -14,13 +14,13 @@ positive multiple of the rational one, so no sign or count changes.
 ``routh_stable`` stays rational: it is the independent cross-check.
 
 Interlacing locates no root (Hermite-Kakeya-Obreschkoff; N. Obreschkoff,
-Verteilung und Berechnung der Nullstellen reeller Polynome, 1963).  Once
-the common roots h = gcd(p, q) are paired off, a weak chain of roots is
-a strict chain of simple roots, so (p/h)(q/h) is squarefree; for such a
-coprime real-rooted pair the strict chain holds iff (q/p)' = W/p^2 >= 0
-between the poles, W = q'p - qp' the Wronskian.  W >= 0 on the real line
-iff W = 0, or lc(W) > 0 and no odd-multiplicity Yun factor of W has a
-real root, a Sturm count at -/+ infinity.
+Verteilung und Berechnung der Nullstellen reeller Polynome, 1963).  The
+signed remainder sequence p, q, -rem, ... ends in h, a multiple of
+gcd(p, q), and V(-inf) - V(+inf) is the Cauchy index of q/p (Gantmacher,
+The Theory of Matrices II, ch. XV; Basu-Pollack-Roy, Algorithms in Real
+Algebraic Geometry, ch. 2).  For real-rooted p and q it is -deg(p/h), the
+least possible, iff every pole is simple with a negative residue, that is
+iff the roots alternate.  A Sturm chain is the sequence of (g, g').
 
 Hurwitz verdicts follow the Hermite-Biehler criterion on the even/odd
 split f = fE(x^2) + x fO(x^2), with an independent exact Routh-array
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expansions import hermite_biehler_split
-from .polynomial import Scalar, UniPoly, poly_gcd, scalar_div, squarefree_part
+from .polynomial import Scalar, UniPoly, scalar_div, squarefree_part
 from .polynomial import _prem, _primitive, _primitive_gcd
 
 INTERLACES = "interlaces"
@@ -61,13 +61,13 @@ def _require_standard(f: UniPoly, name: str = "input") -> None:
         raise NotStandard(f"{name} must be nonzero with positive leading coefficient")
 
 
-def _sturm_chain(g: UniPoly) -> tuple[UniPoly, ...]:
-    """Integer Sturm chain: each member a positive multiple of the rational one."""
-    chain = [_primitive(g), _primitive(g.derivative())]
-    while chain[-1]:
-        chain.append(-_prem(chain[-2], chain[-1]))
-    chain.pop()
-    return tuple(chain)
+def _signed_remainders(p: UniPoly, q: UniPoly) -> list[UniPoly]:
+    """Integer p, q, -rem, ...: each member a positive multiple of the rational one."""
+    seq = [_primitive(p), _primitive(q)]
+    while seq[-1]:
+        seq.append(-_prem(seq[-2], seq[-1]))
+    seq.pop()
+    return seq
 
 
 def _sign_at(p: UniPoly, point: Scalar | None, positive_end: bool) -> int:
@@ -81,13 +81,13 @@ def _sign_at(p: UniPoly, point: Scalar | None, positive_end: bool) -> int:
     return (v > 0) - (v < 0)
 
 
-def _variations(chain: tuple[UniPoly, ...], point: Scalar | None, positive_end: bool) -> int:
+def _variations(chain: list[UniPoly], point: Scalar | None, positive_end: bool) -> int:
     signs = [s for p in chain if (s := _sign_at(p, point, positive_end)) != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count(chain: tuple[UniPoly, ...], lo: Scalar | None, hi: Scalar | None) -> int:
-    """Distinct real roots in (lo, hi] of the squarefree head of ``chain``."""
+def _count(chain: list[UniPoly], lo: Scalar | None, hi: Scalar | None) -> int:
+    """V(lo) - V(hi); for the Sturm chain of a squarefree g, its roots in (lo, hi]."""
     return _variations(chain, lo, False) - _variations(chain, hi, True)
 
 
@@ -99,15 +99,16 @@ def sturm_real_root_count(
         raise ValueError("root counting needs a nonzero polynomial")
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("need lo < hi")
-    return _count(_sturm_chain(squarefree_part(f)), lo, hi)
+    sf = squarefree_part(f)
+    return _count(_signed_remainders(sf, sf.derivative()), lo, hi)
 
 
 def is_real_rooted(f: UniPoly) -> bool:
     """True iff every complex zero of f is real (constants vacuously)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    sf = squarefree_part(f)
-    return _count(_sturm_chain(sf), None, None) == sf.degree
+    chain = _signed_remainders(f, f.derivative())  # ends in gcd(f, f'), nonzero at -/+ inf
+    return _count(chain, None, None) == f.degree - chain[-1].degree
 
 
 def cauchy_root_bound(f: UniPoly) -> Scalar:
@@ -141,7 +142,7 @@ def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
 
 def _isolate_squarefree(g: UniPoly) -> list[tuple[Scalar, Scalar]]:
     """Disjoint half-open intervals (lo, hi], one distinct root each."""
-    chain = _sturm_chain(g)
+    chain = _signed_remainders(g, g.derivative())
     bound = cauchy_root_bound(g)
     out: list[tuple[Scalar, Scalar]] = []
     stack = [(-bound, bound, _count(chain, -bound, bound))]
@@ -184,7 +185,7 @@ def isolate_real_roots(f: UniPoly) -> RootIsolation:
 
 def _multiplicities(p: UniPoly, intervals: list[tuple[Scalar, Scalar]]) -> list[int]:
     """Multiplicity of the root of p in each isolating interval (0 if none)."""
-    chains = [(_sturm_chain(g), i) for g, i in yun_decomposition(p)]
+    chains = [(_signed_remainders(g, g.derivative()), i) for g, i in yun_decomposition(p)]
     return [sum(i for chain, i in chains if _count(chain, lo, hi) == 1) for lo, hi in intervals]
 
 
@@ -194,7 +195,7 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
     "interlaces": deg q = deg p + 1 and theta_1 <= xi_1 <= theta_2 <= ...
     "alternates_left": equal degrees and xi_1 <= theta_1 <= xi_2 <= ...
     Common roots count as coincident pairs, satisfying the weak chain.
-    Decided by the Wronskian sign test of the module docstring.
+    Decided by the Cauchy index of the module docstring.
     """
     _require_standard(p, "p")
     _require_standard(q, "q")
@@ -202,30 +203,17 @@ def interlacing_relation(p: UniPoly, q: UniPoly) -> str:
         raise NotRealRooted("p is not real-rooted")
     if not is_real_rooted(q):
         raise NotRealRooted("q is not real-rooted")
-    return _wronskian_relation(p, q)
+    return _cauchy_relation(p, q)[0]
 
 
-def _wronskian_relation(p: UniPoly, q: UniPoly) -> str:
-    """interlacing_relation for standard real-rooted p and q."""
-    dp, dq = p.degree, q.degree
-    if dq == dp + 1:
-        target = INTERLACES
-    elif dq == dp:
-        target = ALTERNATES_LEFT
-    else:
-        return NEITHER
-    p, q = _primitive(p), _primitive(q)
-    h = _primitive_gcd(p, q)  # W = q'p - qp' keeps its sign: both quotients share h's sign
-    p, q = p.exact_div(h), q.exact_div(h)
-    pq = p * q
-    if poly_gcd(pq, pq.derivative()).degree:
-        return NEITHER
-    w = q.derivative() * p - q * p.derivative()
-    nonnegative = w.is_zero() or (
-        w.leading_coefficient() > 0
-        and not any(_count(_sturm_chain(g), None, None) for g, i in yun_decomposition(w) if i % 2)
-    )
-    return target if nonnegative else NEITHER
+def _cauchy_relation(p: UniPoly, q: UniPoly) -> tuple[str, UniPoly]:
+    """interlacing_relation for standard real-rooted p and q, and the last
+    remainder h, a multiple of gcd(p, q)."""
+    seq = _signed_remainders(p, q)
+    h = seq[-1]
+    if q.degree - p.degree not in (0, 1) or _count(seq, None, None) != h.degree - p.degree:
+        return NEITHER, h
+    return (INTERLACES if q.degree > p.degree else ALTERNATES_LEFT), h
 
 
 @dataclass(frozen=True)
@@ -238,10 +226,10 @@ class HurwitzVerdict:
 
 
 def _nonpositive_real_rooted(part: UniPoly) -> str | None:
-    """None if every zero of part is real and <= 0, else the failing clause."""
+    """None if every zero of part (lc > 0) is real and <= 0, else the failing clause."""
     if not is_real_rooted(part):
         return "not real-rooted"
-    if part.degree and sturm_real_root_count(part, 0, None) > 0:
+    if any(c < 0 for c in part.coeffs):  # real-rooted: all zeros <= 0 iff no c < 0
         return "has a positive zero"
     return None
 
@@ -278,7 +266,7 @@ def hurwitz_classify(f: UniPoly) -> HurwitzVerdict:
         clause = _nonpositive_real_rooted(part)
         if clause is not None:
             return HurwitzVerdict(UNSTABLE, f"{side} part {clause}")
-    relation = _wronskian_relation(f_odd, f_even)
+    relation, h = _cauchy_relation(f_odd, f_even)
     if relation == NEITHER:
         return HurwitzVerdict(
             UNSTABLE, "odd part neither interlaces nor alternates left of even part"
@@ -286,7 +274,7 @@ def hurwitz_classify(f: UniPoly) -> HurwitzVerdict:
     base = f"even/odd parts real-rooted with nonpositive zeros, odd part {relation} even part"
     if f.coefficient(0) == 0:
         return HurwitzVerdict(WEAKLY_STABLE_ONLY, base + "; zero at the origin")
-    if poly_gcd(f_even, f_odd).degree:
+    if h.degree:
         return HurwitzVerdict(
             WEAKLY_STABLE_ONLY, base + "; even and odd parts share a factor"
         )

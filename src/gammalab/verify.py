@@ -193,7 +193,7 @@ def _anxbnx(n: int) -> Iterator[dict]:
 @_check("CUBE", "(1+x^2)^n has alternating gamma vector C(n,k) 2^k", 10, first=0)
 def _cube(n: int) -> Iterator[dict]:
     f = UniPoly([1, 0, 1]) ** n
-    want = tuple(Fraction(binom(n, k) * 2**k) for k in range(n + 1))
+    want = tuple([Fraction(binom(n, k) * 2**k) for k in range(n + 1)])
     yield from _eq(alt_gamma_expand(f, 2 * n).coeffs, want, n=n)
 
 
@@ -204,7 +204,7 @@ def _cube(n: int) -> Iterator[dict]:
     cap=oracles.sn_bound,
 )
 def _foata(n: int) -> Iterator[dict]:
-    want = tuple(Fraction(c) for c in oracles.gamma_count_vector(n))
+    want = tuple([Fraction(c) for c in oracles.gamma_count_vector(n)])
     yield from _eq(gamma_expand(fam.eulerian_a(n), n - 1).coeffs, want, n=n)
 
 
@@ -303,11 +303,11 @@ def _cwz_lhs(n: int) -> UniPoly:
 
 
 def _na_alt_vector(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(catalan(k + 1) * binom(n, k)) for k in range(n + 1))
+    return tuple([Fraction(catalan(k + 1) * binom(n, k)) for k in range(n + 1)])
 
 
 def _nb_alt_vector(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(binom(n, k) * binom(2 * k, k)) for k in range(n + 1))
+    return tuple([Fraction(binom(n, k) * binom(2 * k, k)) for k in range(n + 1)])
 
 
 @_check("COKER1", "gamma expansion of type A Narayana: C_k C(n,2k)", 10, first=0)
@@ -366,8 +366,10 @@ def _nb_shift(n: int) -> Iterator[dict]:
 def _nd_alt(n: int) -> Iterator[dict]:
     got = alt_gamma_expand(fam.narayana("D", n).substitute_power(2), 2 * n)
     want = (Fraction(1),) + tuple(
-        Fraction(binom(n, i) * binom(2 * i, i) - n * catalan(i - 1) * binom(n - 2, i - 2))
-        for i in range(1, n + 1)
+        [
+            Fraction(binom(n, i) * binom(2 * i, i) - n * catalan(i - 1) * binom(n - 2, i - 2))
+            for i in range(1, n + 1)
+        ]
     )
     yield from _eq(got.coeffs, want, n=n)
     if not got.is_nonnegative():
@@ -473,8 +475,10 @@ def _opid_mn(n: int) -> Iterator[dict]:
 
 def _mn_alt_vector(n: int) -> tuple[Fraction, ...]:
     return (Fraction(1),) + tuple(
-        Fraction(binom(n, k) * binom(2 * k, k) - (n + 1) * catalan(k) * binom(n - 1, k - 1))
-        for k in range(1, n + 1)
+        [
+            Fraction(binom(n, k) * binom(2 * k, k) - (n + 1) * catalan(k) * binom(n - 1, k - 1))
+            for k in range(1, n + 1)
+        ]
     )
 
 

@@ -88,6 +88,17 @@ def test_stability_usage_errors(capsys):
     assert code == 2
 
 
+def test_stability_family_index_is_bounded(capsys):
+    bound = fam.FAMILY_BOUND
+    argv = ["stability", "--family", "mn-combination", "--json", "--n"]
+    code, out = run(capsys, *argv, str(bound))
+    assert code == 0 and json.loads(out)["status"] == "stable"
+    assert cli.main(argv + [str(bound + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gammalab: family index {bound + 1} exceeds the bound {bound}\n"
+
+
 def test_verify_single_pass(capsys):
     code, out = run(capsys, "verify", "ANXBNX", "--bound", "4")
     assert code == 0

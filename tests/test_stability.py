@@ -93,6 +93,33 @@ def reference_interlacing(p, q):
     return "alternates_left" if ok else "neither"
 
 
+def reference_wronskian(p, q):
+    """Interlacing by the Wronskian: once the common roots h = gcd(p, q) are
+    paired off, a weak chain of roots is a strict chain of simple roots, so
+    (p/h)(q/h) is squarefree; for such a coprime real-rooted pair the strict
+    chain holds iff (q/p)' = W/p^2 >= 0 between the poles, W = q'p - qp'.
+    W >= 0 on the real line iff W = 0, or lc(W) > 0 and no odd-multiplicity
+    Yun factor of W has a real root."""
+    dp, dq = p.degree, q.degree
+    if dq == dp + 1:
+        target = "interlaces"
+    elif dq == dp:
+        target = "alternates_left"
+    else:
+        return "neither"
+    h = poly_gcd(p, q)  # monic, so both quotients keep a positive leading coefficient
+    p, q = p.exact_div(h), q.exact_div(h)
+    pq = p * q
+    if poly_gcd(pq, pq.derivative()).degree:
+        return "neither"
+    w = q.derivative() * p - q * p.derivative()
+    nonnegative = w.is_zero() or (
+        w.leading_coefficient() > 0
+        and not any(st.sturm_real_root_count(g) for g, i in st.yun_decomposition(w) if i % 2)
+    )
+    return target if nonnegative else "neither"
+
+
 def _random_real_rooted_pair(rng):
     """Rational roots from a small pool, so shared and repeated roots are
     common; deg q - deg p is 0, 1 or 2."""
@@ -110,13 +137,13 @@ def _random_real_rooted_pair(rng):
     return build(dp), build(dq)
 
 
-def test_wronskian_interlacing_matches_the_root_ordering_reference():
+def test_interlacing_matches_the_wronskian_and_root_ordering_references():
     rng = random.Random(12)
     seen = set()
     for _ in range(1000):
         p, q = _random_real_rooted_pair(rng)
         relation = st.interlacing_relation(p, q)
-        assert relation == reference_interlacing(p, q), (p, q)
+        assert relation == reference_wronskian(p, q) == reference_interlacing(p, q), (p, q)
         seen.add(relation)
     assert seen == {"neither", "interlaces", "alternates_left"}
 
@@ -124,10 +151,12 @@ def test_wronskian_interlacing_matches_the_root_ordering_reference():
 def test_nonnegative_wronskian_without_squarefree_reduced_pair_is_neither():
     # W = q'p - qp' = (x^2 + 2x + 3/2)(x + 3/2)^2(x + 2)^2 >= 0 on the real
     # line, yet the roots -2, -2, -2, -1 and -3/2 (three times) do not
-    # interlace: the squarefree test on (p/h)(q/h) must reject the pair.
+    # interlace: the Wronskian reference needs its squarefree test on
+    # (p/h)(q/h), and the Cauchy index must see the pole of order three.
     p = UniPoly([Fraction(3, 2), 1]) ** 3
     q = UniPoly([2, 1]) ** 3 * UniPoly([1, 1])
-    assert st.interlacing_relation(p, q) == reference_interlacing(p, q) == "neither"
+    assert st.interlacing_relation(p, q) == "neither"
+    assert reference_wronskian(p, q) == reference_interlacing(p, q) == "neither"
 
 
 def test_hurwitz_examples():
@@ -379,7 +408,7 @@ def test_integer_chain_members_are_positive_multiples_of_the_rational_chain():
     rng = random.Random(14)
     for _ in range(200):
         g = reference_squarefree(_random_rational(rng))
-        chain, reference = st._sturm_chain(g), reference_chain(g)
+        chain, reference = st._signed_remainders(g, g.derivative()), reference_chain(g)
         assert len(chain) == len(reference)
         for member, rational in zip(chain, reference):
             assert all(type(c) is int for c in member.coeffs)
