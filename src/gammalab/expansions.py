@@ -15,6 +15,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable
@@ -52,12 +53,12 @@ class NotSemiGammaPositive(ValueError):
 
 @lru_cache(maxsize=None)
 def _one_plus_x_pow(m: int) -> UniPoly:
-    return ONE_PLUS_X**m
+    return UniPoly([math.comb(m, k) for k in range(m + 1)])
 
 
 @lru_cache(maxsize=None)
 def _one_minus_x_pow(m: int) -> UniPoly:
-    return ONE_MINUS_X**m
+    return UniPoly([math.comb(m, k) * (-1) ** k for k in range(m + 1)])
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ gives a float.  Floating point is rejected on input: every claim
 checked downstream is an exact sign or coefficient statement and a
 tolerance would corrupt it.
 
-``poly_gcd`` and ``squarefree_part`` run over Z by the primitive PRS of
-Collins (J. ACM 14, 1967) and Brown-Traub (J. ACM 18, 1971): each
-pseudo-remainder scales by a positive integer, so it is a positive
-multiple of the remainder over Q, and only the result is made monic.
+One signed remainder sequence p, q, -rem, ... serves ``poly_gcd``,
+``squarefree_part`` and, in ``stability``, Yun's decomposition and the
+Sturm chains.  It runs over Z by the primitive PRS of Collins (J. ACM 14,
+1967) and Brown-Traub (J. ACM 18, 1971): each pseudo-remainder scales by
+a positive integer, so it is a positive multiple of the remainder over Q.
+Its last member is a gcd up to sign; only the final results are made monic.
 """
 
 from __future__ import annotations
@@ -240,10 +242,6 @@ class UniPoly(DensePoly):
         """Parse the wire format: whitespace-separated rationals, low to high."""
         return cls(parse_scalar(tok) for tok in text.split())
 
-    @classmethod
-    def from_json(cls, items: Iterable[str]) -> UniPoly:
-        return cls(parse_scalar(item) for item in items)
-
     def min_exponent(self) -> int | None:
         """Exponent of the lowest nonzero term, or None for zero."""
         for i, c in enumerate(self.coeffs):
@@ -377,18 +375,21 @@ def _prem(a: UniPoly, b: UniPoly) -> UniPoly:
     return _primitive(UniPoly(rem))
 
 
-def _primitive_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """A primitive gcd of two primitive integer polynomials (primitive PRS)."""
-    while b:
-        a, b = b, _prem(a, b)
-    return a
+def _signed_remainders(p: UniPoly, q: UniPoly) -> list[UniPoly]:
+    """Integer p, q, -rem, ...: each member a positive multiple of the rational one;
+    the last is a primitive gcd of p and q up to sign."""
+    seq = [_primitive(p), _primitive(q)]
+    while seq[-1]:
+        seq.append(-_prem(seq[-2], seq[-1]))
+    seq.pop()
+    return seq
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor: primitive Euclid over Z, made monic at the end."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    return _primitive_gcd(_primitive(f), _primitive(g)).monic()
+    return _signed_remainders(f, g)[-1].monic()
 
 
 def squarefree_part(f: UniPoly) -> UniPoly:
@@ -397,8 +398,8 @@ def squarefree_part(f: UniPoly) -> UniPoly:
         raise ValueError("zero polynomial has no squarefree part")
     if f.degree == 0:
         return UniPoly.one()
-    p = _primitive(f)
-    return p.exact_div(_primitive_gcd(p, _primitive(p.derivative()))).monic()
+    seq = _signed_remainders(f, f.derivative())
+    return seq[0].exact_div(seq[-1]).monic()
 
 
 def basis_sum(base: UniPoly, terms: Iterable[tuple[ScalarLike, int, int]]) -> UniPoly:

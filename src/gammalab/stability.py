@@ -8,10 +8,13 @@ distinct real roots in the half-open interval (lo, hi], with no endpoint
 nudging required.  Multiplicities come from a Yun squarefree
 decomposition.  Only ``isolate_real_roots`` bisects, at midpoints.
 
-Chains, gcds and Yun factors run over Z on the primitive pseudo-remainders
-of ``polynomial`` (Collins 1967, Brown-Traub 1971): each chain member is a
-positive multiple of the rational one, so no sign or count changes.
-``routh_stable`` stays rational: it is the independent cross-check.
+Chains, gcds and Yun factors read the one signed remainder sequence of
+``polynomial``, over Z on primitive pseudo-remainders (Collins 1967,
+Brown-Traub 1971): each member is a positive multiple of the rational
+one, so no sign or count changes.
+``routh_stable`` stays rational: it is the independent cross-check.  Its
+array divides once per row, by the pivot: each entry is a - (p2 / p1) b
+(E. J. Routh, A Treatise on the Stability of a Given State of Motion, 1877).
 
 Interlacing locates no root (Hermite-Kakeya-Obreschkoff; N. Obreschkoff,
 Verteilung und Berechnung der Nullstellen reeller Polynome, 1963).  The
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .expansions import hermite_biehler_split
 from .polynomial import Scalar, UniPoly, scalar_div, squarefree_part
-from .polynomial import _prem, _primitive, _primitive_gcd
+from .polynomial import _primitive, _signed_remainders
 
 INTERLACES = "interlaces"
 ALTERNATES_LEFT = "alternates_left"
@@ -59,15 +62,6 @@ class NotStandard(ValueError):
 def _require_standard(f: UniPoly, name: str = "input") -> None:
     if f.is_zero() or f.leading_coefficient() <= 0:
         raise NotStandard(f"{name} must be nonzero with positive leading coefficient")
-
-
-def _signed_remainders(p: UniPoly, q: UniPoly) -> list[UniPoly]:
-    """Integer p, q, -rem, ...: each member a positive multiple of the rational one."""
-    seq = [_primitive(p), _primitive(q)]
-    while seq[-1]:
-        seq.append(-_prem(seq[-2], seq[-1]))
-    seq.pop()
-    return seq
 
 
 def _sign_at(p: UniPoly, point: Scalar | None, positive_end: bool) -> int:
@@ -123,15 +117,15 @@ def yun_decomposition(f: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return ()
-    # b and d carry one common scale, so d stays a multiple of Yun's d
+    # b and d carry one common scale (a sign is one), so d stays a multiple of Yun's d
     f = _primitive(f)
-    a = _primitive_gcd(f, _primitive(f.derivative()))
+    a = _signed_remainders(f, f.derivative())[-1]
     b = f.exact_div(a)
     d = f.derivative().exact_div(a) - b.derivative()
     out = []
     i = 1
     while b.degree:
-        a = _primitive_gcd(b, _primitive(d))
+        a = _signed_remainders(b, d)[-1]
         if a.degree:
             out.append((a.monic(), i))
         b = b.exact_div(a)
@@ -246,26 +240,19 @@ def hurwitz_classify(f: UniPoly) -> HurwitzVerdict:
     if f.degree == 0:
         return HurwitzVerdict(STABLE, "positive constant, no zeros")
     f_even, f_odd = hermite_biehler_split(f)
-    if f_odd.is_zero() or f_even.is_zero():
-        part = f_even if f_odd.is_zero() else f_odd
-        side = "even" if f_odd.is_zero() else "odd"
+    parts = [(side, part) for side, part in (("even", f_even), ("odd", f_odd)) if part]
+    for side, part in parts:
         if part.leading_coefficient() <= 0:
             return HurwitzVerdict(UNSTABLE, f"{side} part not standard")
+    for side, part in parts:
         clause = _nonpositive_real_rooted(part)
         if clause is not None:
             return HurwitzVerdict(UNSTABLE, f"{side} part {clause}")
+    if len(parts) == 1:
         return HurwitzVerdict(
             WEAKLY_STABLE_ONLY,
-            f"only the {side} part is nonzero: every zero lies on the imaginary axis",
+            f"only the {parts[0][0]} part is nonzero: every zero lies on the imaginary axis",
         )
-    if f_even.leading_coefficient() <= 0:
-        return HurwitzVerdict(UNSTABLE, "even part not standard")
-    if f_odd.leading_coefficient() <= 0:
-        return HurwitzVerdict(UNSTABLE, "odd part not standard")
-    for side, part in (("even", f_even), ("odd", f_odd)):
-        clause = _nonpositive_real_rooted(part)
-        if clause is not None:
-            return HurwitzVerdict(UNSTABLE, f"{side} part {clause}")
     relation, h = _cauchy_relation(f_odd, f_even)
     if relation == NEITHER:
         return HurwitzVerdict(
@@ -283,7 +270,7 @@ def hurwitz_classify(f: UniPoly) -> HurwitzVerdict:
 
 def routh_stable(f: UniPoly) -> str:
     """Exact Routh array: all first-column entries positive means stable,
-    a sign change means not stable, a zero pivot or zero row is boundary."""
+    a sign change means not stable, a zero pivot (a zero row has one) is boundary."""
     _require_standard(f, "f")
     d = f.degree
     if d == 0:
@@ -292,18 +279,10 @@ def routh_stable(f: UniPoly) -> str:
     rows = [desc[0::2], desc[1::2]]
     while len(rows) < d + 1:
         prev2, prev1 = rows[-2], rows[-1]
-        if all(c == 0 for c in prev1):
-            return ROUTH_INDETERMINATE
         if prev1[0] == 0:
             return ROUTH_INDETERMINATE
-        nxt = []
-        for j in range(len(prev2) - 1):
-            a = prev2[j + 1]
-            b = prev1[j + 1] if j + 1 < len(prev1) else 0
-            nxt.append(scalar_div(prev1[0] * a - prev2[0] * b, prev1[0]))
-        if not nxt:
-            nxt = [0]
-        rows.append(nxt)
+        ratio = scalar_div(prev2[0], prev1[0])
+        rows.append([a - ratio * b for a, b in zip(prev2[1:], prev1[1:] + [0])] or [0])
     first = [row[0] for row in rows]
     if any(c == 0 for c in first):
         return ROUTH_INDETERMINATE

@@ -9,6 +9,7 @@ from gammalab import expansions as ex
 from gammalab.polynomial import DegreeTooSmall, UniPoly
 
 ONE_PLUS_X = UniPoly([1, 1])
+ONE_MINUS_X = UniPoly([1, -1])
 
 A4 = UniPoly([1, 11, 11, 1])
 A6 = UniPoly([1, 57, 302, 302, 57, 1])
@@ -93,6 +94,12 @@ def test_broken_peeling_raises_arithmetic_error(monkeypatch):
         ex.gamma_expand(A4, 3)
     with pytest.raises(ArithmeticError):
         ex.binomial_basis_expand(UniPoly([1, 2, 3]), 2, "+")
+
+
+def test_binomial_rows_equal_the_powers():
+    for m in range(121):
+        assert ex._one_plus_x_pow(m) == ONE_PLUS_X**m, m
+        assert ex._one_minus_x_pow(m) == ONE_MINUS_X**m, m
 
 
 def test_hermite_biehler_split():

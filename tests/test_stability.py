@@ -6,7 +6,7 @@ import pytest
 
 from gammalab import families as fam
 from gammalab import stability as st
-from gammalab.polynomial import UniPoly, poly_gcd, squarefree_part
+from gammalab.polynomial import UniPoly, poly_gcd, scalar_div, squarefree_part
 
 ONE = UniPoly.one()
 X = UniPoly.x()
@@ -186,6 +186,8 @@ CERTIFICATES = [
     ("-2 1", "unstable", "even part not standard"),
     ("0 -2 0 1", "unstable", "odd part has a positive zero"),
     ("1 1 0 0 0 1", "unstable", "odd part not real-rooted"),
+    ("1 0 0 0 1", "unstable", "even part not real-rooted"),
+    ("0 1 0 0 0 1", "unstable", "odd part not real-rooted"),
     ("1 0 0 1", "unstable", "odd part neither interlaces nor alternates left of even part"),
     ("-2 -2 1", "unstable", "odd part not standard"),
     ("1 1 1 1", "weakly_stable_only", _PARTS + "alternates_left even part" + _SHARED),
@@ -306,6 +308,66 @@ def test_routh_hurwitz_agreement_random():
         assert (routh == "stable") == (hurwitz == "stable"), f.to_text()
         checked += 1
     assert checked > 100
+
+
+def reference_routh(f):
+    """The Routh array entry by entry: each entry of a new row is
+    (p1 * a - p2 * b) / p1 for the pivots p2 and p1 of the two rows above
+    it, and a zero row is tested on its own.  Returns the verdict and the
+    rows built up to it."""
+    d = f.degree
+    desc = list(reversed(f.coeffs))
+    rows = [desc[0::2], desc[1::2]] if d else [desc]
+    while len(rows) < d + 1:
+        prev2, prev1 = rows[-2], rows[-1]
+        if all(c == 0 for c in prev1):
+            return "indeterminate", rows
+        if prev1[0] == 0:
+            return "indeterminate", rows
+        nxt = []
+        for j in range(len(prev2) - 1):
+            a = prev2[j + 1]
+            b = prev1[j + 1] if j + 1 < len(prev1) else 0
+            nxt.append(scalar_div(prev1[0] * a - prev2[0] * b, prev1[0]))
+        rows.append(nxt or [0])
+    first = [row[0] for row in rows]
+    if any(c == 0 for c in first):
+        return "indeterminate", rows
+    return ("stable" if all(c > 0 for c in first) else "not_stable"), rows
+
+
+def _random_routh_input(rng):
+    """Degree <= 12 with int and a/b coefficients and a positive leading one.
+    A quarter of the inputs are products of left-half-plane factors, and a
+    quarter have a factor x^2 + c, whose roots +-sqrt(-c) lie symmetric
+    about the origin and so make a zero row."""
+
+    def scalar():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    kind = rng.randrange(12)
+    if kind % 4 == 0:
+        return _random_stable(rng)
+    lc = Fraction(rng.randint(1, 4), rng.choice([1, 2]))
+    if kind % 3 == 0:
+        g = UniPoly([scalar() for _ in range(rng.randint(0, 10))] + [lc])
+        return g * UniPoly([scalar(), 0, 1])
+    return UniPoly([scalar() for _ in range(rng.randint(0, 12))] + [lc])
+
+
+def test_routh_matches_the_per_entry_reference():
+    rng = random.Random(23)
+    verdicts, zero_rows, zero_pivots = set(), 0, 0
+    for _ in range(1500):
+        f = _random_routh_input(rng)
+        verdict, rows = reference_routh(f)
+        assert st.routh_stable(f) == verdict, f.to_text()
+        verdicts.add(verdict)
+        last = rows[-1]
+        zero_rows += not any(last)
+        zero_pivots += last[0] == 0 and any(last)
+    assert verdicts == {"stable", "not_stable", "indeterminate"}
+    assert zero_rows >= 100 and zero_pivots >= 100, (zero_rows, zero_pivots)
 
 
 # -- rational references for the integer path ----------------------------------
